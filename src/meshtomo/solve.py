@@ -269,8 +269,7 @@ def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
             if stall >= 25:
                 converged = True
                 break
-    final = x if converged else best_x
-    return SolveResult(Image(grid, final), objective(final), converged, it, np.array(trace))
+    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace))
 
 
 def _as_stack(basis):
@@ -281,13 +280,26 @@ def _as_stack(basis):
     raise ValueError(f"expected a basis or stacked basis, got {type(basis).__name__}")
 
 
+def _stack_norm(stack):
+    """||B|| = sqrt(L) for L stacked meshes.
+
+    Every pixel lies in one column of each mesh, so the constant image is in
+    every mesh subspace and G 1 = L 1 for G = B B^T, the sum of L orthogonal
+    projectors; no eigenvalue of G exceeds L.
+    """
+    return math.sqrt(len(stack.bases))
+
+
 def solve_reformulated(basis, q, opts: SolveOptions = None, *, x0: Image = None) -> SolveResult:
     """Recombine subspace coefficients into an image.
 
     Solves min_x ||q - B^T x||^2 + tv_weight * TV(x) subject to the box, by
-    Chambolle-Pock, warm started from the (clipped) minimum-norm solution.
-    TV is anisotropic: the sum of absolute horizontal and vertical neighbor
-    differences.
+    Chambolle-Pock, warm started from the (clipped) minimum-norm least-squares
+    solution of B^T x = q. CGLS reaches that start by either of its two stop
+    rules: "residual" when q is consistent, "least_squares" when it is not
+    (learned or oblique coefficients). The returned image is the iterate of
+    lowest objective. TV is anisotropic: the sum of absolute horizontal and
+    vertical neighbor differences.
     """
     stack = _as_stack(basis)
     opts = opts or SolveOptions()
@@ -296,7 +308,7 @@ def solve_reformulated(basis, q, opts: SolveOptions = None, *, x0: Image = None)
         raise ValueError(f"expected {stack.total_k} coefficients, got {q.size}")
     bs = stack.to_sparse()
     if x0 is None:
-        start, _ = _cgls(bs, q, tol=1e-8, max_iters=4 * stack.total_k + 100)
+        start, _, _ = _cgls(bs, q, 1e-8, 4 * stack.total_k + 100, _stack_norm(stack))
         start = _clip(start, opts.box)
     else:
         if x0.grid != stack.grid:
@@ -332,45 +344,46 @@ def tv_direct(a, y, opts: SolveOptions = None, *, drop_erased: bool = True,
     return _chambolle_pock(mat, mat_t, target, grid, opts, start)
 
 
-def _cgls(bs, q, tol, max_iters):
-    """CGLS on B^T x = q with iterates in range(B); returns (x, rel_residual)."""
-    n = bs.shape[0]
+def _cgls(bs, q, tol, max_iters, b_norm):
+    """CGLS on B^T x = q with iterates in range(B); returns (x, rel_residual, reason).
+
+    Stops with reason "residual" once ||r|| <= tol ||q|| for r = q - B^T x: x
+    solves the system. Stops with reason "least_squares" once the
+    normal-equation residual ||B r|| <= tol ||B|| ||r|| (Paige & Saunders,
+    ACM TOMS 8, 1982): x is a least-squares solution of an inconsistent system.
+    Otherwise stops with reason "max_iters". ``b_norm`` is ||B||.
+    """
+    bt = bs.T.tocsr()
     qn = np.linalg.norm(q)
-    if qn == 0.0:
-        return np.zeros(n), 0.0
-    x = np.zeros(n)
-    r = q.copy()                 # r = q - B^T x
-    s = bs @ r
-    p = s.copy()
-    gamma = float(s @ s)
-    rel = 1.0
-    for _ in range(max_iters):
-        u = bs.T @ p if not sparse.issparse(bs) else bs.T @ p
-        u = np.asarray(u).ravel()
-        denom = float(u @ u)
-        if denom == 0.0:
-            break
-        alpha = gamma / denom
-        x += alpha * p
-        r -= alpha * u
-        rel = float(np.linalg.norm(r) / qn)
-        if rel <= tol:
-            break
+    x = np.zeros(bs.shape[0])
+    r = q.copy()
+    p = None
+    for it in range(max_iters + 1):
+        rn = np.linalg.norm(r)
+        if rn <= tol * qn:
+            return x, float(rn / qn) if qn else 0.0, "residual"
         s = bs @ r
         gamma_new = float(s @ s)
-        if gamma_new == 0.0:
-            break
-        p = s + (gamma_new / gamma) * p
+        if math.sqrt(gamma_new) <= tol * b_norm * rn:
+            return x, float(rn / qn), "least_squares"
+        if it == max_iters:
+            return x, float(rn / qn), "max_iters"
+        p = s if p is None else s + (gamma_new / gamma) * p
         gamma = gamma_new
-    return x, rel
+        u = bt @ p
+        alpha = gamma / float(u @ u)
+        x += alpha * p
+        r -= alpha * u
 
 
 def minnorm_solve(basis, q, tol: float = 1e-8, max_iters: int = None) -> Image:
     """Minimum-norm solution of B^T x = q by conjugate gradients (CGLS).
 
     Iterates stay in range(B), so the converged solution is the minimum-norm
-    one. Raises :class:`SolverError` if the relative residual cannot reach
-    ``tol`` (e.g. inconsistent coefficients).
+    one. CGLS stops for one of two named reasons: "residual" (the relative
+    residual reached ``tol``) or "least_squares" (x is the minimum-norm
+    least-squares solution and q is inconsistent), or else at ``max_iters``.
+    Raises :class:`SolverError` unless the reason is "residual".
     """
     stack = _as_stack(basis)
     q = np.asarray(q, dtype=np.float64).reshape(-1)
@@ -379,8 +392,8 @@ def minnorm_solve(basis, q, tol: float = 1e-8, max_iters: int = None) -> Image:
     bs = stack.to_sparse()
     if max_iters is None:
         max_iters = 4 * stack.total_k + 100
-    x, rel = _cgls(bs, q, tol, max_iters)
-    if rel > tol:
+    x, rel, reason = _cgls(bs, q, tol, max_iters, _stack_norm(stack))
+    if reason != "residual":
         raise SolverError(
             f"CGLS stagnated at relative residual {rel:.3e} (tol {tol:.1e}); "
             "the coefficient vector may be inconsistent"

@@ -3,8 +3,9 @@ import pytest
 from scipy.optimize import lsq_linear, minimize
 
 from meshtomo.core import Grid, Image, Seed
+from meshtomo.data import ShapesConfig, gen_shapes
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from meshtomo.solve import (SolveOptions, SolverError, minnorm_solve, nnls,
+from meshtomo.solve import (SolveOptions, SolverError, _cgls, minnorm_solve, nnls,
                             power_norm, solve_reformulated, tv_direct)
 from meshtomo.tomo import Measurement, build_ray_matrix, erase, forward, place_sensors
 
@@ -181,18 +182,79 @@ def test_solve_reformulated_warm_start_override():
         solve_reformulated(stack, q, x0=Image.zeros(Grid(9)))
 
 
-def test_minnorm_solve_consistent_and_minimal():
-    grid = Grid(10)
-    stack = make_stack(grid, [8, 9], 60)
-    rng = Seed(14).rng()
-    x = Image(grid, rng.standard_normal(grid.n_pixels))
-    q = stack.coeffs(x)
-    sol = minnorm_solve(stack, q)
+def test_stack_gram_fixes_constant_image():
+    # G = B B^T is a sum of L orthogonal projectors that all keep the constant
+    # image, so G 1 = L 1 and ||B|| = sqrt(L): the scale of the CGLS
+    # least-squares stop
+    grid = Grid(12)
+    for ks in ([9], [8, 9, 10], [6, 7, 8, 9, 10, 11]):
+        stack = make_stack(grid, ks, 200 + len(ks))
+        bs = stack.to_sparse()
+        ones = np.ones(grid.n_pixels)
+        assert np.allclose(bs @ (bs.T @ ones), len(ks) * ones, rtol=0, atol=1e-12)
+        top = np.linalg.eigvalsh((bs @ bs.T).toarray())[-1]
+        assert top == pytest.approx(len(ks), rel=1e-12)
+
+
+def test_recombination_warm_start_is_least_squares_optimum():
+    # 12 meshes of 40 triangles on 256 pixels: B^T is rank-deficient, and
+    # perturbed coefficients leave its range. CGLS stopped only by its
+    # consistency test runs to its cap here and diverges far from the optimum.
+    grid = Grid(16)
+    stack = make_stack(grid, [40] * 12, 230)
+    rng = Seed(21).rng()
+    q = stack.coeffs(Image(grid, rng.uniform(0, 1, grid.n_pixels)))
+    q = q + 0.05 * rng.standard_normal(q.size)
     bt = stack.to_sparse().toarray().T
-    assert np.linalg.norm(bt @ sol.values - q) <= 1e-7 * np.linalg.norm(q)
-    # dense pseudoinverse oracle gives the unique minimum-norm solution
-    ref = np.linalg.pinv(bt) @ q
-    assert np.allclose(sol.values, ref, atol=1e-6)
+    ref = np.linalg.lstsq(bt, q, rcond=None)[0]
+    optimum = float(np.sum((bt @ ref - q) ** 2))
+    assert optimum > 1e-4 * float(q @ q)                # inconsistent
+    res = solve_reformulated(stack, q, SolveOptions(box=None, tv_weight=0.0, max_iters=1))
+    assert res.objectives[0] == pytest.approx(optimum, rel=1e-8)
+    x, rel, reason = _cgls(stack.to_sparse(), q, 1e-8, 4 * stack.total_k + 100,
+                           np.sqrt(len(stack.bases)))
+    assert reason == "least_squares"
+    assert rel == pytest.approx(np.sqrt(optimum) / np.linalg.norm(q), rel=1e-8)
+    assert np.allclose(x, ref, atol=1e-6)
+
+
+def test_solve_reformulated_never_worse_than_warm_start():
+    # 800 coefficients of 256 pixels: the clipped warm start is close to the
+    # truth, and primal-dual iterates oscillate around it before they settle
+    grid = Grid(16)
+    stack = make_stack(grid, [40] * 20, 230)
+    bt = stack.to_sparse().toarray().T
+    qs = [stack.coeffs(img) for img in gen_shapes(ShapesConfig(6, 16, seed=Seed(23)))]
+    warms = np.clip(np.linalg.lstsq(bt, np.column_stack(qs), rcond=None)[0], 0.0, 1.0).T
+    for lam in (0.03, 0.3):
+        for q, warm in zip(qs, warms):
+            warm_obj = float(np.sum((bt @ warm - q) ** 2)) + lam * tv_aniso(warm, 16)
+            res = solve_reformulated(stack, q, SolveOptions(tv_weight=lam, max_iters=600))
+            x = res.image.values
+            obj = float(np.sum((bt @ x - q) ** 2)) + lam * tv_aniso(x, 16)
+            assert res.objective == pytest.approx(obj, rel=1e-12)
+            # the trace starts at the warm start; CGLS reaches it to its tolerance
+            assert res.objectives[0] == pytest.approx(warm_obj, rel=1e-6)
+            assert res.objective <= res.objectives[0]
+
+
+def test_minnorm_solve_consistent_and_minimal():
+    # a small stack, then the kernel Monte Carlo's stacks: K in {10, 20, 50}
+    # triangles, L in {1, 2, 4, 8} meshes on a 32x32 grid
+    cases = [(Grid(10), [8, 9], 60)] + [(Grid(32), [k] * n_meshes, 1000 * k + 10 * n_meshes)
+                                        for k in (10, 20, 50) for n_meshes in (1, 2, 4, 8)]
+    rng = Seed(14).rng()
+    for grid, ks, seed0 in cases:
+        stack = make_stack(grid, ks, seed0)
+        q = stack.coeffs(Image(grid, rng.standard_normal(grid.n_pixels)))
+        sol = minnorm_solve(stack, q)
+        b = stack.to_sparse().toarray()
+        assert np.linalg.norm(b.T @ sol.values - q) <= 1e-7 * np.linalg.norm(q)
+        # dense pseudoinverse oracle gives the unique minimum-norm solution:
+        # pinv(B^T) = B pinv(B^T B), cutting the null space of B^T B (at
+        # least the constants shared by all meshes) instead of inverting it
+        ref = b @ (np.linalg.pinv(b.T @ b, rcond=1e-10, hermitian=True) @ q)
+        assert np.allclose(sol.values, ref, atol=1e-6), (grid.side, ks)
 
 
 def test_minnorm_solve_linear_in_q():
