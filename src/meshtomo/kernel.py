@@ -114,26 +114,10 @@ def mc_expected_recon(x: Image, k: int, lambda_count: int, trials: int,
     minimum-norm synthesis. The accumulation is an ordered sum over trials, so
     equal seeds give bit-identical estimates. When ``x`` has a single nonzero
     pixel, the radial profile about that pixel is attached (bin width one
-    pixel).
+    pixel). This is the one-cell case of :func:`mc_kernel_sweep`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (1 <= lambda_count <= _MAX_SUBSPACES):
-        raise ValueError(f"lambda_count must be in [1, {_MAX_SUBSPACES}]")
-    acc = np.zeros(x.grid.n_pixels)
-    for t in range(trials):
-        stack = _trial_stack(x.grid, k, lambda_count, seed, t)
-        q = stack.coeffs(x)
-        try:
-            acc += minnorm_solve(stack, q).values
-        except SolverError as exc:
-            raise SolverError(f"trial {t}: {exc}") from exc
-    mean = Image(x.grid, acc / trials)
-    center = _single_pixel(x)
-    profile = None
-    if center is not None:
-        profile = _radial_profile(mean.as_matrix(), x.grid.side, center)
-    return KernelEstimate(x.grid, mean, profile, trials, k, lambda_count)
+    cells = mc_kernel_sweep(x, [k], [lambda_count], trials, seed)
+    return cells[(int(k), int(lambda_count))]
 
 
 def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
@@ -144,9 +128,13 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
     first L meshes), implementing common random numbers: results match
     :func:`mc_expected_recon` run cell by cell with the same seed.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     lam_sorted = sorted(set(int(v) for v in lambda_values))
-    if lam_sorted[0] < 1 or lam_sorted[-1] > _MAX_SUBSPACES:
-        raise ValueError("lambda values out of range")
+    if not lam_sorted or lam_sorted[0] < 1 or lam_sorted[-1] > _MAX_SUBSPACES:
+        raise ValueError(f"lambda values must be a non-empty subset of "
+                         f"[1, {_MAX_SUBSPACES}], got {list(lambda_values)}")
+    center = _single_pixel(x)
     out = {}
     for k in k_values:
         acc = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
@@ -161,7 +149,6 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
                     raise SolverError(f"k={k}, trial {t}: {exc}") from exc
         for lam in lam_sorted:
             mean = Image(x.grid, acc[lam] / trials)
-            center = _single_pixel(x)
             profile = None
             if center is not None:
                 profile = _radial_profile(mean.as_matrix(), x.grid.side, center)

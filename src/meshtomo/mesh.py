@@ -1,17 +1,20 @@
 """Random Delaunay meshes on the unit square and piecewise-constant subspaces.
 
-A mesh is built by incremental Bowyer-Watson insertion. The four square
+Qhull (``scipy.spatial.Delaunay``) triangulates; the triangles are then put
+in a canonical order, so a seed always gives the same mesh. Points too close
+to another vertex for Qhull to separate are rejected. The four square
 corners are always part of the vertex set, so every mesh tiles the full
 domain. Rasterizing a mesh on a pixel grid yields an orthonormal basis of
 normalized triangle indicators; the linear span is the model subspace used
-throughout the package.
+throughout the package. ``rasterize`` does its own point-in-triangle test
+rather than Qhull's point location, because it accepts any ``TriMesh``,
+including meshes read from disk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -40,54 +43,6 @@ _CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 # ---------------------------------------------------------------------------
 # geometric predicates
 
-def _orient(ax, ay, bx, by, cx, cy) -> int:
-    """Sign of the cross product (b-a) x (c-a): +1 CCW, -1 CW, 0 collinear.
-
-    Uses floating point with an error-bound filter and falls back to exact
-    rational arithmetic on near-degenerate input.
-    """
-    t1 = (bx - ax) * (cy - ay)
-    t2 = (by - ay) * (cx - ax)
-    det = t1 - t2
-    bound = 1e-12 * (abs(t1) + abs(t2))
-    if abs(det) > bound:
-        return 1 if det > 0.0 else -1
-    det = (Fraction(bx) - Fraction(ax)) * (Fraction(cy) - Fraction(ay)) - (
-        Fraction(by) - Fraction(ay)
-    ) * (Fraction(cx) - Fraction(ax))
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
-
-
-def _incircle_exact(a, b, c, d) -> int:
-    """Exact sign of the in-circle determinant for CCW (a, b, c) and query d.
-
-    +1 when d lies strictly inside the circumcircle, 0 on it, -1 outside.
-    """
-    adx = Fraction(a[0]) - Fraction(d[0])
-    ady = Fraction(a[1]) - Fraction(d[1])
-    bdx = Fraction(b[0]) - Fraction(d[0])
-    bdy = Fraction(b[1]) - Fraction(d[1])
-    cdx = Fraction(c[0]) - Fraction(d[0])
-    cdy = Fraction(c[1]) - Fraction(d[1])
-    ad = adx * adx + ady * ady
-    bd = bdx * bdx + bdy * bdy
-    cd = cdx * cdx + cdy * cdy
-    det = (
-        adx * (bdy * cd - cdy * bd)
-        - ady * (bdx * cd - cdx * bd)
-        + ad * (bdx * cdy - cdx * bdy)
-    )
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
-
-
 def _incircle_stat(a, b, c, d):
     """(det, permanent) of the in-circle determinant in floating point.
 
@@ -106,21 +61,6 @@ def _incircle_stat(a, b, c, d):
     det = t1 - t2 + t3
     perm = abs(t1) + abs(t2) + abs(t3)
     return det, perm
-
-
-def _circumcircle(a, b, c):
-    """Circumcenter (ux, uy) and squared radius of triangle (a, b, c)."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    r2 = (ax - ux) ** 2 + (ay - uy) ** 2
-    return ux, uy, r2
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +99,27 @@ class TriMesh:
 
     @staticmethod
     def from_dict(obj: dict) -> "TriMesh":
+        """Mesh from its JSON form, checked to tile the unit square.
+
+        Raises ``FormatError`` for a vertex outside [0, 1]^2, a triangle that
+        is not CCW with positive area, or areas that do not sum to 1.
+        """
         if not isinstance(obj, dict) or "vertices" not in obj or "triangles" not in obj:
             raise FormatError("mesh JSON must contain 'vertices' and 'triangles'")
-        return TriMesh(np.array(obj["vertices"], dtype=np.float64),
+        mesh = TriMesh(np.array(obj["vertices"], dtype=np.float64),
                        np.array(obj["triangles"], dtype=np.int64))
+        v = mesh.vertices
+        outside = ~np.all((v >= 0.0) & (v <= 1.0), axis=1)
+        if outside.any():
+            raise FormatError(f"vertex {int(np.argmax(outside))} lies outside the unit square")
+        areas = mesh.areas()
+        if not np.all(areas > 0.0):
+            raise FormatError(f"triangle {int(np.argmin(areas))} is not CCW "
+                              "with positive area")
+        if abs(areas.sum() - 1.0) > 1e-9:
+            raise FormatError(f"triangle areas sum to {areas.sum()!r}, not 1: the mesh "
+                              "does not tile the unit square")
+        return mesh
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
@@ -184,109 +141,51 @@ def load_mesh(path) -> TriMesh:
 
 
 # ---------------------------------------------------------------------------
-# Bowyer-Watson triangulation
-
-class _Triangulation:
-    """Incremental Bowyer-Watson state over a fixed vertex list.
-
-    Starts from the two-triangle tiling of the unit square spanned by the
-    corner vertices, so every insertion point (anywhere in [0,1]^2) lies
-    inside the current hull and no super-triangle is needed.
-    """
-
-    def __init__(self, verts, corner_ids):
-        self.verts = verts
-        c00, c10, c01, c11 = corner_ids
-        self.tris = []
-        self.circ = []
-        self._add_tri(c00, c10, c11)
-        self._add_tri(c00, c11, c01)
-
-    def _add_tri(self, a, b, c) -> bool:
-        pa, pb, pc = self.verts[a], self.verts[b], self.verts[c]
-        s = _orient(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
-        if s == 0:
-            return False  # degenerate sliver: skip (arises when a point sits on an edge)
-        if s < 0:
-            b, c = c, b
-            pb, pc = pc, pb
-        self.tris.append((a, b, c))
-        self.circ.append(_circumcircle(pa, pb, pc))
-        return True
-
-    def _in_circum(self, idx: int, p) -> bool:
-        ux, uy, r2 = self.circ[idx]
-        dx = p[0] - ux
-        dy = p[1] - uy
-        dd = dx * dx + dy * dy
-        band = 1e-12 * (1.0 + r2)
-        if dd < r2 - band:
-            return True
-        if dd > r2 + band:
-            return False
-        a, b, c = self.tris[idx]
-        return _incircle_exact(self.verts[a], self.verts[b], self.verts[c], p) > 0
-
-    def insert(self, pi: int) -> None:
-        p = self.verts[pi]
-        bad = [i for i in range(len(self.tris)) if self._in_circum(i, p)]
-        if not bad:
-            raise ValueError(f"point {tuple(p)} coincides with an existing vertex")
-        # Directed cavity boundary: shared edges of bad triangles cancel in pairs.
-        edges = {}
-        for i in bad:
-            a, b, c = self.tris[i]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) in edges:
-                    del edges[(v, u)]
-                else:
-                    edges[(u, v)] = None
-        bad_set = set(bad)
-        keep = [i for i in range(len(self.tris)) if i not in bad_set]
-        self.tris = [self.tris[i] for i in keep]
-        self.circ = [self.circ[i] for i in keep]
-        for u, v in edges:
-            self._add_tri(u, v, pi)
-
-    def mesh(self) -> TriMesh:
-        return TriMesh(np.array(self.verts, dtype=np.float64),
-                       np.array(self.tris, dtype=np.int64))
-
+# Delaunay triangulation
 
 def _prepare_vertices(points):
-    """Deduplicated vertex list with the four corners appended if absent."""
+    """Deduplicated vertex list in input order, then any absent square corners."""
     verts = []
-    seen = {}
+    seen = set()
     for p in points:
         x, y = float(p[0]), float(p[1])
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"point ({x}, {y}) lies outside the unit square")
-        key = (x, y)
-        if key not in seen:
-            seen[key] = len(verts)
-            verts.append(key)
-    for c in _CORNERS:
-        if c not in seen:
-            seen[c] = len(verts)
-            verts.append(c)
-    corner_ids = [seen[c] for c in _CORNERS]
-    return verts, corner_ids
+        if (x, y) not in seen:
+            seen.add((x, y))
+            verts.append((x, y))
+    verts.extend(c for c in _CORNERS if c not in seen)
+    return verts
 
 
 def delaunay_triangulate(points) -> TriMesh:
     """Delaunay triangulation of ``points`` plus the four square corners.
 
-    Points are deduplicated exactly; insertion order is the input order, so
-    the result is deterministic. Every triangle is CCW and the triangulation
-    tiles the unit square.
+    Qhull triangulates. Points are deduplicated exactly and keep the input
+    order, followed by any absent corners. Every triangle is CCW with its
+    lowest vertex index first, and the rows are sorted, so the result does
+    not depend on Qhull's output order. The triangulation tiles the unit
+    square. A point that Qhull cannot separate from another vertex (closer
+    than its round-off, e.g. 1e-15 apart) raises ``ValueError`` rather than
+    being left out of the triangulation.
     """
-    verts, corner_ids = _prepare_vertices(points)
-    tri = _Triangulation(verts, corner_ids)
-    corner_set = set(corner_ids)
-    for idx in range(len(verts)):
-        if idx not in corner_set:
-            tri.insert(idx)
-    return tri.mesh()
+    # Imported here rather than at module top: scipy.spatial adds about 0.1 s
+    # (python -X importtime) to importing the CLI, which every command pays.
+    from scipy.spatial import Delaunay
+
+    verts = np.array(_prepare_vertices(points), dtype=np.float64)
+    qhull = Delaunay(verts)
+    if len(qhull.coplanar):
+        point, _, vertex = qhull.coplanar[0]
+        raise ValueError(f"point {tuple(verts[point].tolist())} cannot be separated "
+                         f"from vertex {tuple(verts[vertex].tolist())}")
+    tri = qhull.simplices.astype(np.int64)
+    cw = TriMesh(verts, tri).areas() < 0
+    tri[cw] = tri[cw][:, ::-1]
+    first = np.argmin(tri, axis=1)[:, None]
+    tri = np.take_along_axis(tri, (first + np.arange(3)) % 3, axis=1)
+    tri = tri[np.lexsort(tri.T[::-1])]
+    return TriMesh(verts, tri)
 
 
 def delaunay_violations(mesh: TriMesh, tol: float = 1e-9) -> int:

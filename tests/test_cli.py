@@ -247,6 +247,12 @@ def test_missing_input_exit_codes(pipe, tmp_path):
     assert run("reconstruct", "--method", "recombine", "--coeffs", broken,
                "--meshes", pipe["meshes"], "--grid-side", 12,
                "--out", tmp_path / "d") == 3
+    half = tmp_path / "half-mesh"
+    half.mkdir()
+    (half / "mesh_000.json").write_text(json.dumps(
+        {"vertices": [[0, 0], [1, 0], [1, 1]], "triangles": [[0, 1, 2]]}))
+    assert run("estimate", "--backend", "oracle", "--meshes", half,
+               "--grid-side", 12, "--data", pipe["data"], "--out", tmp_path / "e") == 3
 
 
 def test_numeric_failure_exit_code(pipe, tmp_path):

@@ -193,6 +193,10 @@ def test_mc_parameter_validation():
         mc_expected_recon(x, 4, 65, 1, Seed(13))
     with pytest.raises(ValueError, match="lambda"):
         mc_kernel_sweep(x, [4], [0, 2], 1, Seed(13))
+    with pytest.raises(ValueError, match="trials"):
+        mc_kernel_sweep(x, [4], [1], 0, Seed(13))
+    with pytest.raises(ValueError, match="lambda"):
+        mc_kernel_sweep(x, [4], [], 1, Seed(13))
 
 
 def test_radial_profile_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay as ScipyDelaunay
 
-from meshtomo.core import Grid, Image, Seed
+from meshtomo.core import FormatError, Grid, Image, Seed
 from meshtomo.mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
                            delaunay_violations, gaussian_subspace_projector, load_basis,
                            load_mesh, mesh_with_k_triangles, rasterize,
@@ -60,13 +60,26 @@ def test_delaunay_matches_scipy_oracle():
 
 
 def test_delaunay_no_violations_and_tiles_square():
-    for trial in range(10):
-        rng = Seed(7 * trial + 1).rng()
-        mesh = delaunay_triangulate(rng.random((30, 2)))
+    point_sets = [Seed(7 * trial + 1).rng().random((30, 2)) for trial in range(10)]
+    # co-circular and collinear inputs: the centre, three points on the
+    # diagonal, the four edge midpoints and the lattice i/4
+    point_sets += [
+        [(0.5, 0.5)],
+        [(0.25, 0.25), (0.5, 0.5), (0.75, 0.75)],
+        [(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)],
+        [(i / 4, j / 4) for i in range(5) for j in range(5)],
+    ]
+    for pts in point_sets:
+        mesh = delaunay_triangulate(pts)
         assert delaunay_violations(mesh) == 0
         assert brute_force_violations(mesh) == 0
         assert mesh.areas().sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(mesh.areas() > 0)
+        # Euler: i interior and b non-corner boundary vertices give 2i + b + 2
+        on_boundary = np.any((mesh.vertices == 0.0) | (mesh.vertices == 1.0), axis=1)
+        interior = int((~on_boundary).sum())
+        boundary = int(on_boundary.sum()) - 4
+        assert mesh.triangle_count == 2 * interior + boundary + 2
 
 
 def test_delaunay_violations_flags_bad_mesh():
@@ -80,6 +93,14 @@ def test_delaunay_violations_flags_bad_mesh():
 def test_delaunay_rejects_outside_points():
     with pytest.raises(ValueError, match="outside"):
         delaunay_triangulate([(1.5, 0.5)])
+
+
+def test_delaunay_rejects_near_coincident_points():
+    # closer to another vertex than Qhull can separate: rejected, never left
+    # out of the triangulation as an orphan vertex
+    for pts in ([(1e-16, 0.0)], [(0.0, 1e-15)], [(0.3, 0.4), (0.3 + 1e-15, 0.4)]):
+        with pytest.raises(ValueError, match="cannot be separated"):
+            delaunay_triangulate(pts)
 
 
 def test_delaunay_dedupes_exact_copies():
@@ -97,6 +118,11 @@ def test_mesh_with_k_triangles_exact():
             assert mesh.areas().sum() == pytest.approx(1.0, abs=1e-12)
             verts = {tuple(v) for v in mesh.vertices}
             assert CORNERS <= verts
+            # canonical rows: CCW, lowest vertex index first, rows sorted
+            tri = mesh.triangles
+            assert np.all(mesh.areas() > 0)
+            assert np.all(tri[:, 0] < tri[:, 1:].min(axis=1))
+            assert [tuple(t) for t in tri] == sorted(tuple(t) for t in tri)
 
 
 def test_odd_k_uses_one_boundary_point():
@@ -125,6 +151,27 @@ def test_mesh_json_round_trip(tmp_path):
     assert np.array_equal(back.triangles, mesh.triangles)
     obj = json.loads(p.read_text())
     assert set(obj) == {"vertices", "triangles"}
+
+
+def test_load_mesh_rejects_meshes_that_do_not_tile(tmp_path):
+    square = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    cases = {
+        "outside": ([[0, 0], [1, 0], [0, 1], [1, 1.5]], [[0, 1, 3], [0, 3, 2]]),
+        "CCW": (square, [[0, 3, 1], [0, 3, 2]]),
+        "sum": (square, [[0, 1, 3]]),  # covers half the square
+    }
+    for match, (verts, tris) in cases.items():
+        obj = {"vertices": verts, "triangles": tris}
+        with pytest.raises(FormatError, match=match):
+            TriMesh.from_dict(obj)
+        mesh_path = tmp_path / f"{match}-mesh.json"
+        mesh_path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=match):
+            load_mesh(mesh_path)
+        basis_path = tmp_path / f"{match}-basis.json"
+        basis_path.write_text(json.dumps({"grid_side": 4, "mesh": obj}))
+        with pytest.raises(FormatError, match=match):
+            load_basis(basis_path)
 
 
 def test_sample_poisson_points_statistics():
