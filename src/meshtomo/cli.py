@@ -541,20 +541,20 @@ def _write_panel(mats, path):
         fh.write(panel.astype(">u2").tobytes())
 
 
+def _label_dirs(value):
+    if not isinstance(value, dict):
+        raise ValueError("expected an object label -> dir")
+    return dict(value)
+
+
 def _cmd_evaluate(args):
     cfg = _resolve(args, [
         ("data", str, None, True),
         ("seed", int, 0, True),
         ("out", str, None, True),
+        ("recons", _label_dirs, None, False),
     ])
-    recons = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if isinstance(file_cfg, dict) and "recons" in file_cfg:
-            if not isinstance(file_cfg["recons"], dict):
-                raise ConfigError("field 'recons': expected an object label -> dir")
-            recons.update(file_cfg["recons"])
+    recons = dict(cfg["recons"] or {})
     for spec in args.recon or []:
         label, eq, path = spec.partition("=")
         if not eq or not label or not path:

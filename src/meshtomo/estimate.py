@@ -9,7 +9,6 @@ minimization in coefficient space.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -48,12 +47,11 @@ def oracle_coeffs(basis: SubspaceBasis, x: Image) -> np.ndarray:
 
 
 def basis_fingerprint(basis: SubspaceBasis) -> str:
-    """Stable hash of (mesh, grid side), used to bind estimators to their basis."""
-    payload = json.dumps(
-        {"grid_side": basis.grid.side, "mesh": basis.mesh.to_dict()},
-        separators=(",", ":"), sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+    """Stable hash of (mesh, grid side), used to bind estimators to their basis.
+
+    The hash is ``SubspaceBasis.fingerprint``, computed once per basis.
+    """
+    return basis.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +75,12 @@ class ObliqueOperator:
 
 
 def _basis_matrix(basis):
-    if isinstance(basis, SubspaceBasis):
-        return basis.to_sparse(), basis_fingerprint(basis)
-    if isinstance(basis, StackedBasis):
-        return basis.to_sparse(), ""
+    if isinstance(basis, (SubspaceBasis, StackedBasis)):
+        return basis.to_sparse()
     mat = np.asarray(basis, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("basis must be a 2-D matrix")
-    return mat, ""
+    return mat
 
 
 def build_oblique(a, basis) -> ObliqueOperator:
@@ -95,7 +91,7 @@ def build_oblique(a, basis) -> ObliqueOperator:
     """
     a_mat = a.matrix if isinstance(a, RayMatrix) else (
         a if sparse.issparse(a) else np.asarray(a, dtype=np.float64))
-    b_mat, fp = _basis_matrix(basis)
+    b_mat = _basis_matrix(basis)
     if a_mat.shape[1] != b_mat.shape[0]:
         raise ValueError(
             f"operator has {a_mat.shape[1]} columns but basis has {b_mat.shape[0]} rows")
@@ -117,6 +113,8 @@ def build_oblique(a, basis) -> ObliqueOperator:
     worst = float(np.abs(resid).max())
     if worst > 1e-8:
         raise SolverError(f"oblique consistency check failed: max residual {worst:.2e}")
+    # hashed only now, so rank-deficient draws skip it
+    fp = basis_fingerprint(basis) if isinstance(basis, SubspaceBasis) else ""
     return ObliqueOperator(f, bb, fp)
 
 

@@ -13,8 +13,10 @@ including meshes read from disk.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -308,11 +310,21 @@ class SubspaceBasis:
         return Image(self.grid, means[self.assignment])
 
     def to_sparse(self) -> sparse.csr_matrix:
-        n = self.grid.n_pixels
-        data = 1.0 / np.sqrt(self.counts)[self.assignment]
-        return sparse.csr_matrix(
-            (data, (np.arange(n), self.assignment)), shape=(n, self.k)
+        """B as an N x K CSR matrix: the one-mesh case of StackedBasis.to_sparse."""
+        return StackedBasis([self]).to_sparse()
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable hash of (mesh, grid side), used to bind estimators to their basis.
+
+        Computed on first use and kept: a basis's mesh and grid are not
+        reassigned after construction.
+        """
+        payload = json.dumps(
+            {"grid_side": self.grid.side, "mesh": self.mesh.to_dict()},
+            separators=(",", ":"), sort_keys=True,
         )
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
     def _check_grid(self, img: Image) -> None:
         if img.grid != self.grid:
@@ -403,7 +415,21 @@ class StackedBasis:
         return Image(self.grid, values)
 
     def to_sparse(self) -> sparse.csr_matrix:
-        return sparse.hstack([b.to_sparse() for b in self.bases], format="csr")
+        """[B_1 ... B_L] as an N x sum(K) CSR matrix, built directly.
+
+        Every pixel lies in exactly one column of each mesh, so row p holds one
+        entry per mesh, in mesh order: column offset_l + assignment_l[p] with
+        value 1/sqrt(count). The column indices of each row are sorted.
+        """
+        n, n_meshes = self.grid.n_pixels, len(self.bases)
+        indices = np.empty((n, n_meshes), dtype=np.int64)
+        data = np.empty((n, n_meshes))
+        for i, (b, off) in enumerate(zip(self.bases, self.offsets)):
+            indices[:, i] = b.assignment + off
+            data[:, i] = 1.0 / np.sqrt(b.counts)[b.assignment]
+        indptr = np.arange(0, n * n_meshes + 1, n_meshes)
+        return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
+                                 shape=(n, self.total_k))
 
 
 def save_basis(basis: SubspaceBasis, path) -> None:

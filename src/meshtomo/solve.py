@@ -136,42 +136,56 @@ def nnls(a, y, opts: SolveOptions = None, *, drop_erased: bool = True,
     opts = opts or SolveOptions()
     mat, target, grid = _coerce_system(a, y, drop_erased)
     mat_t = mat.T if sparse.issparse(mat) else mat.T.copy()
+    res = _fista(mat, mat_t, target, grid, opts)
+    return (res.image, res) if return_info else res.image
+
+
+def _fista(mat, mat_t, target, grid, opts):
+    """FISTA with restart on min 0.5 ||mat x - target||^2 + box, from the clipped zero.
+
+    An iteration applies ``mat_t`` once and ``mat`` once, to the new iterate;
+    A z for the momentum point z = x1 + beta (x1 - x0) is taken by linearity
+    from the kept products A x1 and A x0. A restart steps from the last
+    accepted iterate, whose product is kept too, so it costs one more product
+    of each operator.
+    """
     lip = power_norm(lambda v: mat_t @ (mat @ v), grid.n_pixels)
     if lip == 0.0:
         raise SolverError("operator is zero; no step size exists")
     step = 1.0 / lip
 
-    def objective(v):
-        r = mat @ v - target
+    def half_sq(r):
         return 0.5 * float(r @ r)
 
     x = _clip(np.zeros(grid.n_pixels), opts.box)
-    z = x.copy()
+    ax = mat @ x
+    z, az = x, ax
     t = 1.0
-    obj = objective(x)
+    obj = half_sq(ax - target)
     trace = [obj]
     best_obj, best_x = obj, x.copy()
     stall = 0
     it = 0
     converged = False
     for it in range(1, opts.max_iters + 1):
-        grad = mat_t @ (mat @ z - target)
-        x_new = _clip(z - step * grad, opts.box)
-        obj_new = objective(x_new)
+        x_new = _clip(z - step * (mat_t @ (az - target)), opts.box)
+        ax_new = mat @ x_new
+        obj_new = half_sq(ax_new - target)
         if not np.isfinite(obj_new):
             raise SolverError(f"objective diverged (non-finite) at iteration {it}")
         if obj_new > obj:
             # restart the momentum sequence from the last accepted iterate
             t = 1.0
-            z = x.copy()
-            grad = mat_t @ (mat @ z - target)
-            x_new = _clip(z - step * grad, opts.box)
-            obj_new = objective(x_new)
+            x_new = _clip(x - step * (mat_t @ (ax - target)), opts.box)
+            ax_new = mat @ x_new
+            obj_new = half_sq(ax_new - target)
             if not np.isfinite(obj_new):
                 raise SolverError(f"objective diverged (non-finite) at iteration {it}")
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t, obj = x_new, t_new, obj_new
+        beta = (t - 1.0) / t_new
+        z = x_new + beta * (x_new - x)
+        az = ax_new + beta * (ax_new - ax)
+        x, ax, t, obj = x_new, ax_new, t_new, obj_new
         trace.append(obj)
         if obj < best_obj - opts.tol * max(1.0, abs(best_obj)):
             best_obj, best_x = obj, x.copy()
@@ -183,26 +197,17 @@ def nnls(a, y, opts: SolveOptions = None, *, drop_erased: bool = True,
             if stall >= 10:
                 converged = True
                 break
-    img = Image(grid, best_x)
-    if return_info:
-        return img, SolveResult(img, best_obj, converged, it, np.array(trace))
-    return img
+    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace))
 
 
-def _tv_value(x2d):
-    return float(np.abs(np.diff(x2d, axis=1)).sum() + np.abs(np.diff(x2d, axis=0)).sum())
-
-
-def _grad_h(x2d):
-    return np.diff(x2d, axis=1)
-
-
-def _grad_v(x2d):
-    return np.diff(x2d, axis=0)
+def _grad(v, side):
+    """Forward differences of a flat image: (horizontal, vertical) pair."""
+    v2 = v.reshape(side, side)
+    return v2[:, 1:] - v2[:, :-1], v2[1:, :] - v2[:-1, :]
 
 
 def _div_adjoint(gh, gv, side):
-    """Adjoint of (grad_h, grad_v): maps dual pair back to an image."""
+    """Adjoint of :func:`_grad`: maps a dual pair back to an image."""
     out = np.zeros((side, side))
     out[:, :-1] -= gh
     out[:, 1:] += gh
@@ -212,50 +217,57 @@ def _div_adjoint(gh, gv, side):
 
 
 def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
-    """Primal-dual solve of min_x ||data_mat x - target||^2 + w * TV(x) + box."""
+    """Primal-dual solve of min_x ||data_mat x - target||^2 + w * TV(x) + box.
+
+    An iteration applies ``data_t`` once and ``data_mat`` once, to the new
+    iterate, and takes one gradient of it. The products and gradient of the
+    iterate give its objective, and, since the extrapolated point
+    xbar = 2 x1 - x0 is not clipped, A xbar and grad xbar by linearity for the
+    next dual step.
+    """
     side = grid.side
     n = grid.n_pixels
     w = opts.tv_weight
 
     def normal_op(v):
-        out = data_t @ (data_mat @ v)
-        v2 = v.reshape(side, side)
-        out = out + _div_adjoint(_grad_h(v2), _grad_v(v2), side).ravel()
-        return out
+        return data_t @ (data_mat @ v) + _div_adjoint(*_grad(v, side), side).ravel()
 
     lip = math.sqrt(max(power_norm(normal_op, n), 1e-30))
     sigma = tau = 0.99 / lip
 
+    def objective(ax, gh, gv):
+        r = ax - target
+        return float(r @ r) + w * float(np.abs(gh).sum() + np.abs(gv).sum())
+
     x = x0.copy()
-    xbar = x.copy()
-    z1 = 2.0 * (data_mat @ x - target)
+    ax = data_mat @ x
+    gh, gv = _grad(x, side)
+    axbar, ghbar, gvbar = ax, gh, gv
+    z1 = 2.0 * (ax - target)
     zh = np.zeros((side, side - 1))
     zv = np.zeros((side - 1, side))
-
-    def objective(v):
-        r = data_mat @ v - target
-        x2d = v.reshape(side, side)
-        return float(r @ r) + w * _tv_value(x2d)
-
-    obj = objective(x)
+    obj = objective(ax, gh, gv)
     trace = [obj]
     best_obj, best_x = obj, x.copy()
     stall = 0
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        z1 = (z1 + sigma * (data_mat @ xbar - target)) / (1.0 + 0.5 * sigma)
+        z1 = (z1 + sigma * (axbar - target)) / (1.0 + 0.5 * sigma)
         if w > 0.0:
-            xb2 = xbar.reshape(side, side)
-            zh = np.clip(zh + sigma * _grad_h(xb2), -w, w)
-            zv = np.clip(zv + sigma * _grad_v(xb2), -w, w)
+            zh = np.clip(zh + sigma * ghbar, -w, w)
+            zv = np.clip(zv + sigma * gvbar, -w, w)
             div = _div_adjoint(zh, zv, side).ravel()
         else:
             div = 0.0
         x_new = _clip(x - tau * (data_t @ z1 + div), opts.box)
-        xbar = 2.0 * x_new - x
-        x = x_new
-        obj = objective(x)
+        ax_new = data_mat @ x_new
+        gh_new, gv_new = _grad(x_new, side)
+        axbar = 2.0 * ax_new - ax
+        ghbar = 2.0 * gh_new - gh
+        gvbar = 2.0 * gv_new - gv
+        x, ax, gh, gv = x_new, ax_new, gh_new, gv_new
+        obj = objective(ax, gh, gv)
         if not np.isfinite(obj):
             raise SolverError(f"objective diverged (non-finite) at iteration {it}")
         trace.append(obj)

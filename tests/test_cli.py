@@ -134,6 +134,23 @@ def test_evaluate_report(pipe):
     assert set(man["mean_snr_db"]) == {"sub", "tv"}
 
 
+def test_evaluate_recons_from_config_file(pipe, tmp_path):
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"data": str(pipe["data"]), "out": str(tmp_path / "from-file"),
+                               "recons": {"sub": str(pipe["recon_sub"]),
+                                          "tv": str(pipe["recon_tv"])}}))
+    assert run("evaluate", "--config", cfg) == 0
+    assert (tmp_path / "from-file" / "report.csv").read_bytes() == \
+        (pipe["eval"] / "report.csv").read_bytes()
+    man = json.loads((tmp_path / "from-file" / "manifest.json").read_text())
+    assert man["config"]["recons"] == {"sub": str(pipe["recon_sub"]),
+                                       "tv": str(pipe["recon_tv"])}
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps({"recons": [str(pipe["recon_sub"])]}))
+    assert run("evaluate", "--config", not_object, "--data", pipe["data"],
+               "--out", tmp_path / "x") == 2
+
+
 def test_kernel_mc_outputs(pipe):
     mean = load_image(pipe["kmc"] / "mean.f32raw")
     assert mean.grid.side == 12

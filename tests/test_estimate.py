@@ -134,6 +134,9 @@ def test_estimator_validation_and_binding():
     est = Estimator.zero_affine(basis_a)
     with pytest.raises(ValueError, match="bound"):
         estimate_coeffs(est, basis_b, x)
+    # a second call on the same basis meets its kept hash, and still rejects
+    with pytest.raises(ValueError, match="bound"):
+        estimate_coeffs(est, basis_b, x)
     with pytest.raises(ValueError, match="grid"):
         estimate_coeffs(est, basis_a, Image.zeros(Grid(9)))
     bad = Estimator("per-mesh-affine", np.zeros((3, grid.n_pixels)), np.zeros(3))

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.spatial import Delaunay as ScipyDelaunay
 
 from meshtomo.core import FormatError, Grid, Image, Seed
@@ -276,6 +277,26 @@ def test_stacked_basis_layout():
     assert np.allclose(stack.synthesize(q).values, total, atol=1e-12)
     dense = stack.to_sparse().toarray()
     assert dense.shape == (100, stack.total_k)
+    # the direct CSR build equals hstack over per-mesh matrices built from
+    # (row, column) pairs, for one and three meshes, one of them with
+    # triangles that hold no pixel centre
+    holed = rasterize(mesh_with_k_triangles(40, Seed(23)), grid)
+    assert holed.k < holed.mesh.triangle_count
+    for members in ([holed], [bases[0], holed, bases[2]]):
+        got = StackedBasis(members).to_sparse()
+        ref = sparse.hstack([sparse.csr_matrix((1.0 / np.sqrt(b.counts)[b.assignment],
+                                                (np.arange(100), b.assignment)),
+                                               shape=(100, b.k)) for b in members],
+                            format="csr")
+        for attr in ("indices", "indptr", "data"):
+            assert getattr(got, attr).dtype == getattr(ref, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+        assert got.shape == ref.shape
+        assert got.has_sorted_indices and ref.has_sorted_indices
+        if len(members) == 1:
+            one = members[0].to_sparse()
+            assert all(np.array_equal(getattr(one, a), getattr(ref, a))
+                       for a in ("indices", "indptr", "data"))
     with pytest.raises(ValueError):
         StackedBasis([])
     with pytest.raises(ValueError):

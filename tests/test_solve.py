@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear, minimize
 
+from meshtomo import solve
 from meshtomo.core import Grid, Image, Seed
 from meshtomo.data import ShapesConfig, gen_shapes
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from meshtomo.solve import (SolveOptions, SolverError, _cgls, minnorm_solve, nnls,
-                            power_norm, solve_reformulated, tv_direct)
+from meshtomo.solve import (SolveOptions, SolveResult, SolverError, _cgls, _chambolle_pock,
+                            _fista, _stack_norm, minnorm_solve, nnls, power_norm,
+                            solve_reformulated, tv_direct)
 from meshtomo.tomo import Measurement, build_ray_matrix, erase, forward, place_sensors
 
 
@@ -290,3 +294,219 @@ def test_nnls_accepts_measurement_and_matrix():
     assert np.allclose(from_rm.values, from_mat.values, atol=1e-12)
     with pytest.raises(ValueError):
         nnls(rm.matrix[:, :-1], y.values)  # non-square pixel count
+
+
+# ---------------------------------------------------------------------------
+# reference loops: FISTA and Chambolle-Pock as written before the package
+# loops kept A x and the image gradient of each iterate. Every product and
+# stencil is taken afresh: three operator products per iteration.
+
+def _ref_clip(values, box):
+    return values if box is None else np.clip(values, box[0], box[1])
+
+
+def reference_fista(mat, target, grid, opts):
+    """Returns (SolveResult, number of restarts)."""
+    mat_t = mat.T
+    step = 1.0 / power_norm(lambda v: mat_t @ (mat @ v), grid.n_pixels)
+
+    def objective(v):
+        r = mat @ v - target
+        return 0.5 * float(r @ r)
+
+    x = _ref_clip(np.zeros(grid.n_pixels), opts.box)
+    z = x.copy()
+    t = 1.0
+    obj = objective(x)
+    trace = [obj]
+    best_obj, best_x = obj, x.copy()
+    stall = restarts = it = 0
+    converged = False
+    for it in range(1, opts.max_iters + 1):
+        x_new = _ref_clip(z - step * (mat_t @ (mat @ z - target)), opts.box)
+        obj_new = objective(x_new)
+        if obj_new > obj:
+            restarts += 1
+            t = 1.0
+            z = x.copy()
+            x_new = _ref_clip(z - step * (mat_t @ (mat @ z - target)), opts.box)
+            obj_new = objective(x_new)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t, obj = x_new, t_new, obj_new
+        trace.append(obj)
+        if obj < best_obj - opts.tol * max(1.0, abs(best_obj)):
+            best_obj, best_x = obj, x.copy()
+            stall = 0
+        else:
+            if obj < best_obj:
+                best_obj, best_x = obj, x.copy()
+            stall += 1
+            if stall >= 10:
+                converged = True
+                break
+    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace)), restarts
+
+
+def _ref_div(gh, gv, side):
+    out = np.zeros((side, side))
+    out[:, :-1] -= gh
+    out[:, 1:] += gh
+    out[:-1, :] -= gv
+    out[1:, :] += gv
+    return out
+
+
+def reference_chambolle_pock(data_mat, data_t, target, grid, opts, x0):
+    side = grid.side
+    w = opts.tv_weight
+
+    def normal_op(v):
+        v2 = v.reshape(side, side)
+        return (data_t @ (data_mat @ v)
+                + _ref_div(np.diff(v2, axis=1), np.diff(v2, axis=0), side).ravel())
+
+    sigma = tau = 0.99 / math.sqrt(max(power_norm(normal_op, grid.n_pixels), 1e-30))
+
+    def objective(v):
+        r = data_mat @ v - target
+        return float(r @ r) + w * tv_aniso(v, side)
+
+    x = x0.copy()
+    xbar = x.copy()
+    z1 = 2.0 * (data_mat @ x - target)
+    zh = np.zeros((side, side - 1))
+    zv = np.zeros((side - 1, side))
+    obj = objective(x)
+    trace = [obj]
+    best_obj, best_x = obj, x.copy()
+    stall = it = 0
+    converged = False
+    for it in range(1, opts.max_iters + 1):
+        z1 = (z1 + sigma * (data_mat @ xbar - target)) / (1.0 + 0.5 * sigma)
+        if w > 0.0:
+            xb2 = xbar.reshape(side, side)
+            zh = np.clip(zh + sigma * np.diff(xb2, axis=1), -w, w)
+            zv = np.clip(zv + sigma * np.diff(xb2, axis=0), -w, w)
+            div = _ref_div(zh, zv, side).ravel()
+        else:
+            div = 0.0
+        x_new = _ref_clip(x - tau * (data_t @ z1 + div), opts.box)
+        xbar = 2.0 * x_new - x
+        x = x_new
+        obj = objective(x)
+        trace.append(obj)
+        if obj < best_obj - opts.tol * max(1.0, abs(best_obj)):
+            best_obj, best_x = obj, x.copy()
+            stall = 0
+        else:
+            if obj < best_obj:
+                best_obj, best_x = obj, x.copy()
+            stall += 1
+            if stall >= 25:
+                converged = True
+                break
+    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace))
+
+
+def assert_same_solve(res, ref):
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
+    assert np.allclose(res.image.values, ref.image.values, rtol=0, atol=1e-8)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+
+
+def test_recombination_matches_reference_loop():
+    grid = Grid(16)
+    stack = make_stack(grid, [40] * 20, 300)
+    bs = stack.to_sparse()
+    images = gen_shapes(ShapesConfig(2, 16, seed=Seed(31)))
+    q_incons = stack.coeffs(images[0])
+    q_incons = q_incons + 0.05 * Seed(5).rng().standard_normal(q_incons.size)
+    # (coefficients, lambda, expected stop): learned-like inconsistent
+    # coefficients run to the cap; oracle ones here stop by the stall rule
+    for q, lam, capped in ((q_incons, 0.3, True), (stack.coeffs(images[1]), 0.03, False)):
+        opts = SolveOptions(tv_weight=lam, max_iters=600)
+        res = solve_reformulated(stack, q, opts)
+        start = _cgls(bs, q, 1e-8, 4 * stack.total_k + 100, _stack_norm(stack))[0]
+        ref = reference_chambolle_pock(bs.T.tocsr(), bs, q, grid, opts,
+                                       _ref_clip(start, opts.box))
+        assert_same_solve(res, ref)
+        assert (res.iterations == 600) == capped and res.converged != capped
+
+
+def test_tv_direct_and_nnls_match_reference_loops():
+    grid = Grid(16)
+    rm = build_ray_matrix(place_sensors(12), grid)
+    y = forward(rm, gen_shapes(ShapesConfig(1, 16, seed=Seed(31)))[0])
+    restarts = 0
+    for meas in (y, erase(y, 0.125, Seed(6))):
+        keep = ~meas.mask
+        mat, target = rm.matrix[keep], meas.values[keep]
+        for box in ((0.0, 1.0), None):
+            opts = SolveOptions(tv_weight=2e-4, max_iters=600, box=box)
+            warm, _ = reference_fista(mat, target, grid,
+                                      SolveOptions(max_iters=600, tol=opts.tol, box=box))
+            ref = reference_chambolle_pock(mat, mat.T, target, grid, opts, warm.image.values)
+            assert_same_solve(tv_direct(rm, meas, opts), ref)
+        opts = SolveOptions(max_iters=300)
+        ref, count = reference_fista(mat, target, grid, opts)
+        assert_same_solve(nnls(rm, meas, opts, return_info=True)[1], ref)
+        restarts += count
+    assert restarts >= 1
+
+
+class CountingOp:
+    """A matrix that counts its products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.mat @ v
+
+
+def _count_power_norm_products(monkeypatch, ops):
+    """Route solve.power_norm through a wrapper; returns the products it makes."""
+    spent = [0]
+
+    def counted(*args, **kwargs):
+        before = sum(op.calls for op in ops)
+        out = power_norm(*args, **kwargs)
+        spent[0] += sum(op.calls for op in ops) - before
+        return out
+
+    monkeypatch.setattr(solve, "power_norm", counted)
+    return spent
+
+
+def test_chambolle_pock_two_products_per_iteration(monkeypatch):
+    grid = Grid(16)
+    rm = build_ray_matrix(place_sensors(12), grid)
+    y = forward(rm, gen_shapes(ShapesConfig(1, 16, seed=Seed(31)))[0])
+    mat, mat_t = CountingOp(rm.matrix), CountingOp(rm.matrix.T)
+    spent = _count_power_norm_products(monkeypatch, (mat, mat_t))
+    x0 = np.full(grid.n_pixels, 0.5)
+    res = _chambolle_pock(mat, mat_t, y.values, grid,
+                          SolveOptions(tv_weight=2e-4, max_iters=50), x0)
+    assert res.iterations == 50 and spent[0] > 0
+    # one product for the start's A x, then one of each operator per iteration
+    assert mat.calls + mat_t.calls - spent[0] <= 2 * res.iterations + 1
+
+
+def test_fista_two_products_per_iteration(monkeypatch):
+    grid = Grid(16)
+    rm = build_ray_matrix(place_sensors(12), grid)
+    y = forward(rm, gen_shapes(ShapesConfig(1, 16, seed=Seed(31)))[0])
+    opts = SolveOptions(max_iters=300)
+    ref, restarts = reference_fista(rm.matrix, y.values, grid, opts)
+    assert restarts >= 1
+    mat, mat_t = CountingOp(rm.matrix), CountingOp(rm.matrix.T)
+    spent = _count_power_norm_products(monkeypatch, (mat, mat_t))
+    res = _fista(mat, mat_t, y.values, grid, opts)
+    assert_same_solve(res, ref)
+    assert spent[0] > 0
+    # the start's A x, two products per iteration and two per restart
+    assert mat.calls + mat_t.calls - spent[0] <= 1 + 2 * res.iterations + 2 * restarts
