@@ -318,7 +318,6 @@ def _cmd_train(args):
         ("epochs", int, 80, True),
         ("batch_size", int, 32, True),
         ("lr", float, 1e-3, True),
-        ("optimizer", str, "adam", True),
         ("validation_fraction", float, 0.2, True),
         ("weight_decay", float, 0.0, True),
         ("seed", int, 0, True),
@@ -337,8 +336,7 @@ def _cmd_train(args):
     dataset = list(zip(images, warms))
     try:
         tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                           lr=cfg["lr"], optimizer=cfg["optimizer"],
-                           validation_fraction=cfg["validation_fraction"],
+                           lr=cfg["lr"], validation_fraction=cfg["validation_fraction"],
                            weight_decay=cfg["weight_decay"], seed=Seed(cfg["seed"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -623,12 +621,11 @@ def _add_flags(sub, names):
         "warm": (str, "warm-start image directory"),
         "meshes": (str, "mesh directory"),
         "estimator_kind": (str, "per-mesh-affine | shared-pooled"),
-        "epochs": (int, "training epochs"),
-        "batch_size": (int, "minibatch size"),
-        "lr": (float, "learning rate"),
-        "optimizer": (str, "adam | sgd"),
+        "epochs": (int, "accepted for old configs; the closed-form fit ignores it"),
+        "batch_size": (int, "accepted for old configs; the closed-form fit ignores it"),
+        "lr": (float, "accepted for old configs; the closed-form fit ignores it"),
         "validation_fraction": (float, "held-out fraction during training"),
-        "weight_decay": (float, "L2 penalty on weights"),
+        "weight_decay": (float, "ridge penalty on weights (per-entry MSE scale)"),
         "backend": (str, "oracle | oblique | learned"),
         "estimators": (str, "trained estimator directory"),
         "method": (str, "recombine | tv-direct"),
@@ -674,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("train", help="fit coefficient estimators")
     _add_flags(sub, ["data", "warm", "meshes", "grid_side", "estimator_kind",
-                     "epochs", "batch_size", "lr", "optimizer",
+                     "epochs", "batch_size", "lr",
                      "validation_fraction", "weight_decay", "seed", "out"])
     sub.set_defaults(func=_cmd_train)
 

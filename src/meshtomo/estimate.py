@@ -134,10 +134,18 @@ def oblique_coeffs(op: ObliqueOperator, y) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
+    """Settings of the closed-form estimator fit.
+
+    ``validation_fraction``, ``weight_decay`` and ``seed`` set the fit: the
+    seed draws the train/validation split and ``weight_decay`` is the ridge
+    penalty of the per-entry MSE. ``epochs``, ``batch_size`` and ``lr`` are
+    still range-checked so existing configs keep loading, but they no longer
+    change the fit.
+    """
+
     epochs: int = 80
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"
     validation_fraction: float = 0.2
     weight_decay: float = 0.0
     seed: Seed = field(default_factory=Seed)
@@ -149,8 +157,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (self.lr > 0):
             raise ValueError("lr must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.weight_decay < 0:
@@ -159,6 +165,12 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
+    """Coefficient MSE of the zero map and of the fitted map, per split.
+
+    For per-mesh-affine these are residual MSEs above the subspace projection.
+    ``val_loss`` is NaN when the validation split is empty.
+    """
+
     train_loss: np.ndarray
     val_loss: np.ndarray
 
@@ -232,76 +244,58 @@ def estimate_coeffs(est: Estimator, basis: SubspaceBasis, y_warm: Image) -> np.n
     return feats @ est.weight + est.bias[0]
 
 
-def _adam_sgd_fit(xmat, tmat, cfg, zero_params):
-    """Mini-batch fit of an affine map xmat @ W.T + b to tmat.
+def _ridge_fit(xmat, tmat, cfg):
+    """Exact affine ridge fit of tmat by xmat on a seeded train/validation split.
 
-    Returns (W, b, train_curve, val_curve). Works for both estimator kinds:
-    per-mesh uses (J, N) inputs and (J, K) targets; shared-pooled uses pooled
-    rows (J*K, 5) and scalar targets reshaped to (J*K, 1).
+    Minimises mean((X W^T + b - T)^2) + weight_decay * ||W||^2 over the train
+    rows, with the bias unpenalised. Centring X and T on the train rows removes
+    the bias, and multiplying through by T_train.size gives
+    ||X_c W^T - T_c||^2 + lam ||W||^2 with lam = weight_decay * T_train.size,
+    solved by one thin SVD X_c = U S V^T: W^T = V diag(s / (s^2 + lam)) U^T T_c.
+    Singular values below the least-squares cutoff of ``numpy.linalg.lstsq``
+    are dropped, so weight_decay = 0 gives the minimum-norm least-squares map.
+
+    Works for both estimator kinds: per-mesh uses (J, N) inputs and (J, K)
+    targets; shared-pooled uses pooled rows (J*K, 5) and targets (J*K, 1).
+    Returns (W, b, history), whose loss curves are the MSE of the zero map
+    and of the fit on each split.
     """
     n_samples = xmat.shape[0]
-    rng = cfg.seed.rng()
-    perm = rng.permutation(n_samples)
+    perm = cfg.seed.rng().permutation(n_samples)
     n_val = int(round(cfg.validation_fraction * n_samples))
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:]
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         raise ValueError("no training samples left after the validation split")
-    w, b = zero_params
-    mw = np.zeros_like(w); vw = np.zeros_like(w)
-    mb = np.zeros_like(b); vb = np.zeros_like(b)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-    train_curve, val_curve = [], []
+    x_tr, t_tr = xmat[train_idx], tmat[train_idx]
+    x_mean, t_mean = x_tr.mean(axis=0), t_tr.mean(axis=0)
+    u, s, vt = np.linalg.svd(x_tr - x_mean, full_matrices=False)
+    lam = cfg.weight_decay * t_tr.size
+    keep = s > s[0] * max(x_tr.shape) * np.finfo(np.float64).eps
+    gain = np.zeros_like(s)
+    gain[keep] = s[keep] / (s[keep] ** 2 + lam)
+    wt = vt.T @ (gain[:, None] * (u.T @ (t_tr - t_mean)))
+    b = t_mean - x_mean @ wt
 
-    def mse(idx):
+    def mse(idx, w_t, bias):
         if idx.size == 0:
             return np.nan
-        pred = xmat[idx] @ w.T + b
-        return float(np.mean((pred - tmat[idx]) ** 2))
+        return float(np.mean((xmat[idx] @ w_t + bias - tmat[idx]) ** 2))
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx)
-        batch_losses = []
-        for lo in range(0, order.size, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            xb = xmat[idx]
-            err = xb @ w.T + b - tmat[idx]
-            loss = float(np.mean(err**2))
-            if not np.isfinite(loss):
-                raise SolverError(f"training loss became non-finite at epoch {epoch}")
-            batch_losses.append(loss)
-            scale = 2.0 / err.size
-            gw = scale * (err.T @ xb)
-            gb = scale * err.sum(axis=0)
-            if cfg.weight_decay > 0.0:
-                gw = gw + 2.0 * cfg.weight_decay * w
-            if cfg.optimizer == "sgd":
-                w = w - cfg.lr * gw
-                b = b - cfg.lr * gb
-            else:
-                step += 1
-                mw = beta1 * mw + (1 - beta1) * gw
-                vw = beta2 * vw + (1 - beta2) * gw**2
-                mb = beta1 * mb + (1 - beta1) * gb
-                vb = beta2 * vb + (1 - beta2) * gb**2
-                c1 = 1 - beta1**step
-                c2 = 1 - beta2**step
-                w = w - cfg.lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-                b = b - cfg.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
-        train_curve.append(float(np.mean(batch_losses)))
-        val_curve.append(mse(val_idx))
-    return w, b, np.array(train_curve), np.array(val_curve)
+    zero = (np.zeros_like(wt), np.zeros_like(b))
+    history = TrainHistory(
+        np.array([mse(train_idx, *zero), mse(train_idx, wt, b)]),
+        np.array([mse(val_idx, *zero), mse(val_idx, wt, b)]))
+    return wt.T, b, history
 
 
 def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affine") -> Estimator:
-    """Fit an estimator to (image, warm start) pairs by coefficient-space MSE.
+    """Fit an estimator to (image, warm start) pairs by coefficient-space ridge.
 
     ``dataset`` is a list of (x, y_warm) Image pairs. Targets are the oracle
     coefficients B^T x. per-mesh-affine requires a single SubspaceBasis and
-    optimizes the residual above the warm start's own subspace projection
-    (its loss curves therefore report residual MSE); the returned weight is
-    the folded full map. shared-pooled accepts a SubspaceBasis or a
+    fits the residual above the warm start's own subspace projection (its
+    loss curves therefore report residual MSE); the returned weight is the
+    folded full map. shared-pooled accepts a SubspaceBasis or a
     StackedBasis (pooling samples across all member bases).
     """
     if not dataset:
@@ -315,17 +309,12 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
                 "use train_ensemble for a stacked basis")
         xmat = np.stack([warm.values for _, warm in dataset])
         tmat = np.stack([oracle_coeffs(basis, x) for x, _ in dataset])
-        # Train anchored at the subspace projection: fit a residual map on
-        # top of B^T so the zero-initialized optimizer starts from the
-        # projection of the warm start and weight decay shrinks toward that
-        # projection instead of toward the zero map.
+        # Fit a residual map on top of B^T, so that the zero map is the warm
+        # start's subspace projection and weight decay shrinks toward it.
         bt = basis.to_sparse().T.tocsr()
         tres = tmat - (bt @ xmat.T).T
-        w0 = np.zeros((basis.k, basis.grid.n_pixels))
-        b0 = np.zeros(basis.k)
-        w, b, tr, va = _adam_sgd_fit(xmat, tres, cfg, (w0, b0))
-        w = bt.toarray() + w
-        return Estimator(kind, w, b, basis_fingerprint(basis), TrainHistory(tr, va))
+        w, b, history = _ridge_fit(xmat, tres, cfg)
+        return Estimator(kind, bt.toarray() + w, b, basis_fingerprint(basis), history)
     bases = basis.bases if isinstance(basis, StackedBasis) else [basis]
     rows, targets = [], []
     for x, warm in dataset:
@@ -334,10 +323,8 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
             targets.append(oracle_coeffs(bb, x))
     xmat = np.concatenate(rows)
     tmat = np.concatenate(targets)[:, None]
-    w0 = np.zeros((1, _N_POOLED_FEATURES))
-    b0 = np.zeros(1)
-    w, b, tr, va = _adam_sgd_fit(xmat, tmat, cfg, (w0, b0))
-    return Estimator(kind, w.ravel(), b, "", TrainHistory(tr, va))
+    w, b, history = _ridge_fit(xmat, tmat, cfg)
+    return Estimator(kind, w.ravel(), b, "", history)
 
 
 def train_ensemble(dataset, stack: StackedBasis, cfg: TrainConfig) -> list:

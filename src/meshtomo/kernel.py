@@ -26,7 +26,6 @@ __all__ = [
     "convolution_consistency",
     "isotropy_check",
     "load_radial_profile",
-    "make_kernel_estimate",
     "mc_expected_recon",
     "mc_kernel_sweep",
     "profile_half_width",
@@ -83,18 +82,6 @@ def _radial_profile(mean: np.ndarray, side: int, center) -> list:
         out.append(RadialBin(float(r[sel].mean()), float(vals.mean()),
                              float(vals.std()), n))
     return out
-
-
-def make_kernel_estimate(mean_image: Image, trials: int, k: int,
-                         lambda_count: int, center=None) -> KernelEstimate:
-    """Wrap a precomputed mean image; profile is taken about ``center``
-    (defaults to the peak pixel)."""
-    side = mean_image.grid.side
-    if center is None:
-        p = int(np.argmax(mean_image.values))
-        center = (p // side, p % side)
-    profile = _radial_profile(mean_image.as_matrix(), side, center)
-    return KernelEstimate(mean_image.grid, mean_image, profile, trials, k, lambda_count)
 
 
 def _trial_stack(grid: Grid, k: int, lambda_count: int, seed: Seed, trial: int) -> StackedBasis:

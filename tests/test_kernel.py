@@ -2,16 +2,27 @@ import numpy as np
 import pytest
 
 from meshtomo.core import FormatError, Grid, Image, Seed
-from meshtomo.kernel import (RadialBin, convolution_consistency, isotropy_check,
-                             load_radial_profile, make_kernel_estimate,
-                             mc_expected_recon, mc_kernel_sweep,
-                             profile_half_width, save_radial_profile)
+from meshtomo.kernel import (KernelEstimate, RadialBin, _radial_profile,
+                             convolution_consistency, isotropy_check,
+                             load_radial_profile, mc_expected_recon,
+                             mc_kernel_sweep, profile_half_width,
+                             save_radial_profile)
 
 
 def pixel_image(grid, i, j, value=1.0):
     v = np.zeros(grid.n_pixels)
     v[i * grid.side + j] = value
     return Image(grid, v)
+
+
+def make_kernel_estimate(mean_image, trials, k, lam, center=None):
+    """Wrap an analytic mean image; its profile is taken about ``center``
+    (default: the peak pixel)."""
+    side = mean_image.grid.side
+    if center is None:
+        center = divmod(int(np.argmax(mean_image.values)), side)
+    profile = _radial_profile(mean_image.as_matrix(), side, center)
+    return KernelEstimate(mean_image.grid, mean_image, profile, trials, k, lam)
 
 
 def gaussian_estimate(side=32, sigma=3.0, trials=5000, k=20, lam=5):
