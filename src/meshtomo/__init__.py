@@ -21,8 +21,7 @@ from .kernel import (KernelEstimate, convolution_consistency, isotropy_check,
                      mc_expected_recon, mc_kernel_sweep, profile_half_width)
 from .mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
                    delaunay_violations, gaussian_subspace_projector, load_mesh,
-                   mesh_with_k_triangles, rasterize, sample_poisson_points,
-                   save_mesh)
+                   mesh_with_k_triangles, rasterize, save_mesh)
 from .solve import (SolveOptions, SolveResult, SolverError, minnorm_solve,
                     nnls, solve_reformulated, tv_direct)
 from .tomo import (Measurement, RayMatrix, SensorArray, add_gaussian_noise,
@@ -83,7 +82,6 @@ __all__ = [
     "place_sensors",
     "profile_half_width",
     "rasterize",
-    "sample_poisson_points",
     "save_dataset",
     "save_estimator",
     "save_image",

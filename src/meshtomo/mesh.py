@@ -8,7 +8,11 @@ domain. Rasterizing a mesh on a pixel grid yields an orthonormal basis of
 normalized triangle indicators; the linear span is the model subspace used
 throughout the package. ``rasterize`` does its own point-in-triangle test
 rather than Qhull's point location, because it accepts any ``TriMesh``,
-including meshes read from disk.
+including meshes read from disk. It tests each triangle only against the
+pixel centers in its bounding box padded by one pixel (Pineda's edge
+functions, SIGGRAPH 1988), gives a center on a shared edge or vertex to the
+lowest-index triangle, and gives a center that no tested triangle contains
+to the triangle, among all of them, whose worst edge test is best.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "load_mesh",
     "mesh_with_k_triangles",
     "rasterize",
-    "sample_poisson_points",
     "save_basis",
     "save_mesh",
 ]
@@ -209,15 +212,6 @@ def delaunay_violations(mesh: TriMesh, tol: float = 1e-9) -> int:
     return count
 
 
-def sample_poisson_points(intensity: float, seed: Seed) -> np.ndarray:
-    """Poisson(intensity)-many iid uniform points in the unit square, as (n, 2)."""
-    if not (intensity > 0 and np.isfinite(intensity)):
-        raise ValueError(f"intensity must be positive and finite, got {intensity}")
-    rng = seed.rng()
-    count = int(rng.poisson(intensity))
-    return rng.random((count, 2))
-
-
 def mesh_with_k_triangles(k: int, seed: Seed) -> TriMesh:
     """Random Delaunay mesh with exactly ``k`` triangles.
 
@@ -333,34 +327,64 @@ class SubspaceBasis:
             )
 
 
+def _worst_edge(px, py, a, b, c):
+    """Smallest of the three edge functions of CCW triangle (a, b, c) at (px, py).
+
+    ``a``, ``b`` and ``c`` are (x, y) pairs of arrays. The result is >= 0
+    where the point lies inside or on the triangle. Everything broadcasts
+    elementwise, so a (pixel, triangle) pair gives the same bits however the
+    pairs are laid out.
+    """
+    s0 = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
+    s1 = (c[0] - b[0]) * (py - b[1]) - (c[1] - b[1]) * (px - b[0])
+    s2 = (a[0] - c[0]) * (py - c[1]) - (a[1] - c[1]) * (px - c[0])
+    return np.minimum(np.minimum(s0, s1), s2)
+
+
 def rasterize(mesh: TriMesh, grid: Grid) -> SubspaceBasis:
     """Assign each pixel center to a triangle and build the indicator basis.
 
-    A center on a shared edge or vertex goes to the lowest-index incident
-    triangle. Triangles containing no center are dropped from the basis.
+    Each triangle is tested only against the centers inside its bounding box,
+    padded by one pixel on each side. The padding is far wider than the
+    ``-1e-12`` tolerance of the inside test reaches outside a triangle,
+    unless the triangle is a sliver with an edge or angle below about 1e-9.
+    A center inside (or on the boundary of) several triangles, as on a
+    shared edge or vertex, goes to the lowest-index one. A center that no
+    tested triangle contains (round-off, or a gap in a hand-built mesh) goes
+    to the triangle, among all triangles, whose worst edge test is best.
+    Triangles containing no center are dropped from the basis.
     """
-    centers = grid.centers()
-    v = mesh.vertices
-    tri = mesh.triangles
-    a, b, c = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]  # (T, 2) each
-    px = centers[:, 0][:, None]
-    py = centers[:, 1][:, None]
-    s0 = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-    s1 = (c[:, 0] - b[:, 0]) * (py - b[:, 1]) - (c[:, 1] - b[:, 1]) * (px - b[:, 0])
-    s2 = (a[:, 0] - c[:, 0]) * (py - c[:, 1]) - (a[:, 1] - c[:, 1]) * (px - c[:, 0])
-    worst = np.minimum(np.minimum(s0, s1), s2)  # (N, T)
-    inside = worst >= -1e-12
-    assign = np.argmax(inside, axis=1)  # first (lowest-index) containing triangle
-    stragglers = ~inside.any(axis=1)
+    side, n_tri = grid.side, mesh.triangle_count
+    coords = grid.centers()[:side, 0]  # (j + 0.5) / side: x of column j, y of row j
+    corners = mesh.vertices[mesh.triangles].transpose(1, 2, 0)  # (3, 2, T): a, b, c
+    # Candidate columns and rows: centers within one pixel of the triangle's
+    # bounding box, clipped to the grid.
+    first = np.maximum(np.ceil(corners.min(axis=0) * side - 1.5), 0).astype(np.int64)
+    last = np.minimum(np.floor(corners.max(axis=0) * side + 0.5), side - 1).astype(np.int64)
+    extent = np.maximum(last - first + 1, 0)  # (2, T): columns, rows
+    sizes = extent[0] * extent[1]
+    # One (pixel, triangle) pair per candidate, triangle by triangle.
+    tri = np.repeat(np.arange(n_tri), sizes)
+    local = np.arange(len(tri)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row, col = np.divmod(local, extent[0].take(tri))
+    row += first[1].take(tri)
+    col += first[0].take(tri)
+    a, b, c = corners.take(tri, axis=2)
+    inside = _worst_edge(coords.take(col), coords.take(row), a, b, c) >= -1e-12
+    assign = np.full(grid.n_pixels, n_tri, dtype=np.int64)
+    # lowest-index containing triangle
+    np.minimum.at(assign, (row * side + col)[inside], tri[inside])
+    stragglers = assign == n_tri
     if stragglers.any():
-        # Round-off stragglers: take the triangle whose worst edge test is best.
-        assign[stragglers] = np.argmax(worst[stragglers], axis=1)
-    present = np.unique(assign)
-    col_of = np.full(mesh.triangle_count, -1, dtype=np.int64)
+        # Round-off stragglers and gaps: the triangle whose worst edge test is best.
+        p = grid.centers()[stragglers]
+        worst = _worst_edge(p[:, 0, None], p[:, 1, None], *corners)  # (S, T)
+        assign[stragglers] = np.argmax(worst, axis=1)
+    hits = np.bincount(assign, minlength=n_tri)
+    present = np.flatnonzero(hits)
+    col_of = np.full(n_tri, -1, dtype=np.int64)
     col_of[present] = np.arange(len(present))
-    assignment = col_of[assign]
-    counts = np.bincount(assignment, minlength=len(present))
-    return SubspaceBasis(mesh, grid, assignment, counts.astype(np.int64), present)
+    return SubspaceBasis(mesh, grid, col_of[assign], hits[present], present)
 
 
 @dataclass
@@ -446,9 +470,14 @@ def load_basis(path) -> SubspaceBasis:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: unparseable basis JSON: {exc}") from exc
-    if "grid_side" not in obj or "mesh" not in obj:
+    if not isinstance(obj, dict) or "grid_side" not in obj or "mesh" not in obj:
         raise FormatError(f"{path}: basis JSON must contain 'grid_side' and 'mesh'")
-    return rasterize(TriMesh.from_dict(obj["mesh"]), Grid(int(obj["grid_side"])))
+    try:
+        mesh = TriMesh.from_dict(obj["mesh"])
+        grid = Grid(obj["grid_side"])
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return rasterize(mesh, grid)
 
 
 def gaussian_subspace_projector(n: int, k: int, seed: Seed) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from scipy.spatial import Delaunay as ScipyDelaunay
 from meshtomo.core import FormatError, Grid, Image, Seed
 from meshtomo.mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
                            delaunay_violations, gaussian_subspace_projector, load_basis,
-                           load_mesh, mesh_with_k_triangles, rasterize,
-                           sample_poisson_points, save_basis, save_mesh)
+                           load_mesh, mesh_with_k_triangles, rasterize, save_basis,
+                           save_mesh)
 
 CORNERS = {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
@@ -32,6 +33,47 @@ def brute_force_violations(mesh, tol=1e-9):
             if np.hypot(v[vi, 0] - ux, v[vi, 1] - uy) < r - tol:
                 count += 1
     return count
+
+
+def reference_worst_edge(mesh, grid):
+    """(N, T) smallest edge function of every triangle at every pixel center."""
+    centers = grid.centers()
+    v = mesh.vertices
+    tri = mesh.triangles
+    a, b, c = v[tri[:, 0]], v[tri[:, 1]], v[tri[:, 2]]  # (T, 2) each
+    px = centers[:, 0][:, None]
+    py = centers[:, 1][:, None]
+    s0 = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
+    s1 = (c[:, 0] - b[:, 0]) * (py - b[:, 1]) - (c[:, 1] - b[:, 1]) * (px - b[:, 0])
+    s2 = (a[:, 0] - c[:, 0]) * (py - c[:, 1]) - (a[:, 1] - c[:, 1]) * (px - c[:, 0])
+    return np.minimum(np.minimum(s0, s1), s2)
+
+
+def reference_rasterize(mesh, grid):
+    """Every pixel center against every triangle: the N x T edge-function test.
+
+    Returns (assignment, counts, kept) as ``rasterize`` builds them.
+    """
+    worst = reference_worst_edge(mesh, grid)
+    inside = worst >= -1e-12
+    assign = np.argmax(inside, axis=1)  # first (lowest-index) containing triangle
+    stragglers = ~inside.any(axis=1)
+    if stragglers.any():
+        assign[stragglers] = np.argmax(worst[stragglers], axis=1)
+    present = np.unique(assign)
+    col_of = np.full(mesh.triangle_count, -1, dtype=np.int64)
+    col_of[present] = np.arange(len(present))
+    assignment = col_of[assign]
+    counts = np.bincount(assignment, minlength=len(present))
+    return assignment, counts.astype(np.int64), present
+
+
+def assert_matches_reference(basis):
+    assignment, counts, kept = reference_rasterize(basis.mesh, basis.grid)
+    for got, want in ((basis.assignment, assignment), (basis.counts, counts),
+                      (basis.kept, kept)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_empty_square_is_two_corner_triangles():
@@ -175,18 +217,6 @@ def test_load_mesh_rejects_meshes_that_do_not_tile(tmp_path):
             load_basis(basis_path)
 
 
-def test_sample_poisson_points_statistics():
-    counts = [len(sample_poisson_points(12.0, Seed(0).derive(i))) for i in range(400)]
-    mean = np.mean(counts)
-    # Poisson(12): SE of the mean over 400 draws is sqrt(12/400) ~ 0.17
-    assert abs(mean - 12.0) < 4 * np.sqrt(12.0 / 400)
-    pts = sample_poisson_points(30.0, Seed(8))
-    assert pts.shape[1] == 2
-    assert pts.min() >= 0.0 and pts.max() <= 1.0
-    with pytest.raises(ValueError):
-        sample_poisson_points(0.0, Seed(0))
-
-
 def test_rasterize_two_by_two_example():
     mesh = delaunay_triangulate([])
     basis = rasterize(mesh, Grid(2))
@@ -215,6 +245,75 @@ def test_rasterize_partitions_all_pixels():
             for (x1, y1), (x2, y2) in ((a, b), (b, c), (c, a)):
                 signs.append((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1))
             assert min(signs) >= -1e-9
+
+
+def test_rasterize_matches_reference_on_random_meshes():
+    for k in (2, 3, 10, 50, 200):
+        for s in range(10):
+            mesh = mesh_with_k_triangles(k, Seed(9000 + 100 * k + s))
+            for side in (2, 11, 32, 64):
+                assert_matches_reference(rasterize(mesh, Grid(side)))
+
+
+def test_rasterize_matches_reference_on_loaded_meshes(tmp_path):
+    for k, side in ((10, 11), (50, 32), (200, 64)):
+        mesh = mesh_with_k_triangles(k, Seed(k))
+        mesh_path = tmp_path / f"mesh{k}.json"
+        save_mesh(mesh, mesh_path)
+        assert_matches_reference(rasterize(load_mesh(mesh_path), Grid(side)))
+        basis_path = tmp_path / f"basis{k}.json"
+        save_basis(rasterize(mesh, Grid(side)), basis_path)
+        assert_matches_reference(load_basis(basis_path))
+
+
+def test_rasterize_matches_reference_on_lattice_edges_and_vertices():
+    # at these sides many centers fall exactly on the lattice's edges and
+    # vertices, where the lowest-index rule decides
+    lattice = delaunay_triangulate([(i / 4, j / 4) for i in range(5) for j in range(5)])
+    for side, shared in ((2, 3), (4, 2), (8, 2)):
+        containing = (reference_worst_edge(lattice, Grid(side)) >= 0).sum(axis=1)
+        assert containing.max() >= shared  # 3 or more at a vertex, 2 on an edge
+        assert_matches_reference(rasterize(lattice, Grid(side)))
+
+
+def test_rasterize_matches_reference_on_centre_vertices():
+    # vertices on pixel centres put centres on vertices, and on edges
+    # through collinear centres, where round-off leaves edge functions just
+    # below 0 and the -1e-12 tolerance decides
+    grid = Grid(10)
+    rounded = 0
+    for s in range(10):
+        picks = Seed(300 + s).rng().choice(grid.n_pixels, 12, replace=False)
+        mesh = delaunay_triangulate(grid.centers()[picks])
+        worst = reference_worst_edge(mesh, grid)
+        rounded += int(np.any((worst < 0) & (worst >= -1e-12)))
+        assert_matches_reference(rasterize(mesh, grid))
+    assert rounded >= 5
+
+
+def test_rasterize_matches_reference_on_straggler_fallback():
+    # half the square: centers above the diagonal lie in no triangle, so
+    # they all take the fallback's best worst-edge triangle
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0]]
+    gap = TriMesh(np.array(verts), np.array([[0, 4, 3], [4, 1, 3]]))
+    for side in (2, 5, 8):
+        grid = Grid(side)
+        px, py = grid.centers().T
+        assert np.any(py > px + 1e-9)  # uncovered centers exist
+        assert_matches_reference(rasterize(gap, grid))
+
+
+def test_rasterize_allocates_no_pixel_by_triangle_array():
+    grid = Grid(64)
+    mesh = mesh_with_k_triangles(200, Seed(4))
+    rasterize(mesh, grid)  # fill the pixel-center cache
+    tracemalloc.start()
+    try:
+        rasterize(mesh, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_pixels * mesh.triangle_count * 8  # one (N, T) float array
 
 
 def test_basis_columns_orthonormal():
@@ -313,6 +412,25 @@ def test_basis_save_load(tmp_path):
     assert np.array_equal(back.assignment, basis.assignment)
     assert np.array_equal(back.counts, basis.counts)
     assert np.array_equal(back.kept, basis.kept)
+
+
+def test_load_basis_rejects_malformed_files(tmp_path):
+    mesh = mesh_with_k_triangles(4, Seed(1)).to_dict()
+    bad_index = {"vertices": mesh["vertices"],
+                 "triangles": [[0, 1, len(mesh["vertices"])]] + mesh["triangles"][1:]}
+    cases = {
+        "side-text": ({"grid_side": "abc", "mesh": mesh}, "must be an integer"),
+        "side-float": ({"grid_side": 4.9, "mesh": mesh}, "must be an integer"),
+        "side-one": ({"grid_side": 1, "mesh": mesh}, "grid side must be >= 2"),
+        "index": ({"grid_side": 4, "mesh": bad_index}, "out of range"),
+        "scalar": (7, "must contain"),
+    }
+    for name, (obj, match) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=match) as info:
+            load_basis(path)
+        assert str(path) in str(info.value)
 
 
 def test_gaussian_subspace_projector_shape_and_idempotence():
