@@ -9,8 +9,10 @@ studies, and SNR evaluation reports.
 Every command accepts ``--config FILE`` (a JSON object whose keys are the
 long flag names with underscores) and long-form flags that override the file.
 Each output directory receives a ``manifest.json`` echoing the resolved
-configuration, its SHA-256 hash, and the seed; identical configurations
-produce byte-identical outputs.
+configuration and its SHA-256 hash; identical configurations produce
+byte-identical outputs. The commands that draw random numbers (gen-data,
+gen-mesh, corrupt, train, kernel-mc) take ``--seed``, so it is part of
+their configuration.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or unreadable input,
 4 numerical failure.
@@ -53,21 +55,79 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config resolution
+# options and config resolution
 
-def _float_or_inf(value):
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "+inf"):
-        return math.inf
-    return float(value)
+def _label_dirs(value):
+    """LABEL -> directory: an object in a config file, or the list of
+    ``LABEL=DIR`` strings that repeated ``--recon`` flags give."""
+    if isinstance(value, list):
+        pairs = {}
+        for spec in value:
+            label, _, path = str(spec).partition("=")
+            if not (label and path):
+                raise ValueError(f"expected LABEL=DIR, got {spec!r}")
+            pairs[label] = path
+        value = pairs
+    if not (isinstance(value, dict) and value
+            and all(isinstance(path, str) for path in value.values())):
+        raise ValueError("expected a non-empty object label -> directory path")
+    return dict(value)
+
+
+# Each option's type and help, declared once. Flags are parsed as strings and
+# converted by ``_coerce`` exactly like config-file values.
+_OPTIONS = {
+    "count": (int, "number of images"),
+    "grid_side": (int, "pixels per image side"),
+    "kind": (str, "dataset kind: shapes | checkerboard"),
+    "shapes_min": (int, "minimum shapes per image"),
+    "shapes_max": (int, "maximum shapes per image"),
+    "intensity_min": (float, "lower intensity bound"),
+    "intensity_max": (float, "upper intensity bound"),
+    "cells": (int, "checkerboard cells per side"),
+    "seed": (int, "RNG seed (recorded in the manifest)"),
+    "out": (str, "output directory"),
+    "triangles": (int, "triangles per mesh (K)"),
+    "subspaces": (int, "number of meshes"),
+    "data": (str, "dataset directory"),
+    "sensors": (int, "sensors on the boundary circle"),
+    "measurements": (str, "measurement directory"),
+    "snr_db": (float, "input SNR in dB, or 'inf' for noiseless"),
+    "erasure_p": (float, "independent erasure probability"),
+    "max_iters": (int, "solver iteration cap"),
+    "tol": (float, "solver tolerance"),
+    "warm": (str, "warm-start image directory"),
+    "meshes": (str, "mesh directory"),
+    "estimator_kind": (str, "per-mesh-affine | shared-pooled"),
+    "epochs": (int, "accepted for old configs; the closed-form fit ignores it"),
+    "batch_size": (int, "accepted for old configs; the closed-form fit ignores it"),
+    "lr": (float, "accepted for old configs; the closed-form fit ignores it"),
+    "validation_fraction": (float, "held-out fraction during training"),
+    "weight_decay": (float, "ridge penalty on weights (per-entry MSE scale)"),
+    "backend": (str, "oracle | oblique | learned"),
+    "estimators": (str, "trained estimator directory"),
+    "method": (str, "recombine | tv-direct"),
+    "coeffs": (str, "coefficient directory"),
+    "tv_weight": (float, "TV regularization weight"),
+    "trials": (int, "Monte Carlo trials"),
+    "pixel": (str, "'center' or 'i,j' test pixel"),
+    "recons": (_label_dirs, "reconstruction directory to score (repeatable)"),
+}
+
+REQUIRED = object()  # field default meaning "must be given"; None means optional
 
 
 def _coerce(field, typ, value):
+    """Convert a flag string or a config-file value to the field's type."""
     try:
-        if typ is bool:
-            if isinstance(value, bool):
-                return value
-            raise ValueError("expected a boolean")
-        return typ(value)
+        if typ in (int, float) and isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
+        if typ is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        value = typ(value)
+        if typ is float and math.isnan(value):
+            raise ValueError("expected a number, got nan")
+        return value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field '{field}': {exc}") from exc
 
@@ -75,11 +135,11 @@ def _coerce(field, typ, value):
 def _resolve(args, fields):
     """Merge file config and CLI flags; CLI wins, then file, then default.
 
-    ``fields`` is a list of (name, type, default, required); a missing
-    required value or an unknown file key raises ConfigError naming the field.
+    A missing required value or an unknown file key raises ConfigError naming
+    the field.
     """
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = args.config
         if not os.path.isfile(path):
             raise FileNotFoundError(path)
@@ -90,21 +150,20 @@ def _resolve(args, fields):
                 raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
-        known = {name for name, _, _, _ in fields}
         for key in file_cfg:
-            if key not in known:
+            if key not in fields:
                 raise ConfigError(f"unknown config field '{key}'")
     cfg = {}
-    for name, typ, default, required in fields:
-        value = getattr(args, name, None)
+    for name, default in fields.items():
+        value = getattr(args, name)
         if value is None:
             value = file_cfg.get(name, default)
-        if value is None:
-            if required:
+        if value is None or value is REQUIRED:
+            if default is not None:
                 raise ConfigError(f"missing required field '{name}'")
             cfg[name] = None
-            continue
-        cfg[name] = _coerce(name, typ, value)
+        else:
+            cfg[name] = _coerce(name, _OPTIONS[name][0], value)
     return cfg
 
 
@@ -132,7 +191,7 @@ def _write_manifest(out_dir, command, cfg, extra=None):
     payload = _manifest_payload(command, cfg, extra)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -163,27 +222,12 @@ def _load_images_dir(dirpath):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_gen_data(args):
-    cfg = _resolve(args, [
-        ("count", int, 1, True),
-        ("grid_side", int, None, True),
-        ("kind", str, "shapes", True),
-        ("shapes_min", int, 2, True),
-        ("shapes_max", int, 6, True),
-        ("intensity_min", float, 0.2, True),
-        ("intensity_max", float, 1.0, True),
-        ("cells", int, None, False),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_gen_data(cfg):
     if cfg["kind"] == "shapes":
-        try:
-            scfg = ShapesConfig(cfg["count"], cfg["grid_side"],
-                                (cfg["shapes_min"], cfg["shapes_max"]),
-                                intensity_range=(cfg["intensity_min"], cfg["intensity_max"]),
-                                seed=Seed(cfg["seed"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        scfg = ShapesConfig(cfg["count"], cfg["grid_side"],
+                            (cfg["shapes_min"], cfg["shapes_max"]),
+                            intensity_range=(cfg["intensity_min"], cfg["intensity_max"]),
+                            seed=Seed(cfg["seed"]))
         images = gen_shapes(scfg)
         extra = shapes_manifest(scfg)
     elif cfg["kind"] == "checkerboard":
@@ -202,13 +246,7 @@ def _cmd_gen_data(args):
     return EXIT_OK
 
 
-def _cmd_gen_mesh(args):
-    cfg = _resolve(args, [
-        ("triangles", int, None, True),
-        ("subspaces", int, 1, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_gen_mesh(cfg):
     if cfg["triangles"] < 2:
         raise ConfigError("field 'triangles': need at least 2")
     if cfg["subspaces"] < 1:
@@ -225,14 +263,7 @@ def _cmd_gen_mesh(args):
     return EXIT_OK
 
 
-def _cmd_forward(args):
-    cfg = _resolve(args, [
-        ("data", str, None, True),
-        ("sensors", int, None, True),
-        ("grid_side", int, None, False),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_forward(cfg):
     _require_dir(cfg["data"], "data")
     images, man = load_dataset(cfg["data"])
     side = images[0].grid.side
@@ -250,14 +281,7 @@ def _cmd_forward(args):
     return EXIT_OK
 
 
-def _cmd_corrupt(args):
-    cfg = _resolve(args, [
-        ("measurements", str, None, True),
-        ("snr_db", _float_or_inf, math.inf, True),
-        ("erasure_p", float, 0.0, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_corrupt(cfg):
     if not (0.0 <= cfg["erasure_p"] <= 1.0):
         raise ConfigError("field 'erasure_p': must be in [0, 1]")
     _require_dir(cfg["measurements"], "measurements")
@@ -277,20 +301,11 @@ def _cmd_corrupt(args):
     return EXIT_OK
 
 
-def _cmd_nnls(args):
-    cfg = _resolve(args, [
-        ("measurements", str, None, True),
-        ("sensors", int, None, True),
-        ("grid_side", int, None, True),
-        ("max_iters", int, 500, True),
-        ("tol", float, 1e-9, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_nnls(cfg):
     _require_dir(cfg["measurements"], "measurements")
     paths = _listed(cfg["measurements"], ".csv")
     rm = build_ray_matrix(place_sensors(cfg["sensors"]), Grid(cfg["grid_side"]))
-    opts = _solve_options(cfg)
+    opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"])
     os.makedirs(cfg["out"], exist_ok=True)
     for i, path in enumerate(paths):
         img = nnls(rm, load_measurement(path), opts)
@@ -300,29 +315,7 @@ def _cmd_nnls(args):
     return EXIT_OK
 
 
-def _solve_options(cfg, tv_weight=0.0):
-    try:
-        return SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"],
-                            tv_weight=tv_weight)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _cmd_train(args):
-    cfg = _resolve(args, [
-        ("data", str, None, True),
-        ("warm", str, None, True),
-        ("meshes", str, None, True),
-        ("grid_side", int, None, True),
-        ("estimator_kind", str, "per-mesh-affine", True),
-        ("epochs", int, 80, True),
-        ("batch_size", int, 32, True),
-        ("lr", float, 1e-3, True),
-        ("validation_fraction", float, 0.2, True),
-        ("weight_decay", float, 0.0, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_train(cfg):
     _require_dir(cfg["data"], "data")
     _require_dir(cfg["warm"], "warm")
     _require_dir(cfg["meshes"], "meshes")
@@ -334,12 +327,9 @@ def _cmd_train(args):
     grid = Grid(cfg["grid_side"])
     bases = [rasterize(m, grid) for m in _load_meshes(cfg["meshes"])]
     dataset = list(zip(images, warms))
-    try:
-        tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                           lr=cfg["lr"], validation_fraction=cfg["validation_fraction"],
-                           weight_decay=cfg["weight_decay"], seed=Seed(cfg["seed"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       lr=cfg["lr"], validation_fraction=cfg["validation_fraction"],
+                       weight_decay=cfg["weight_decay"], seed=Seed(cfg["seed"]))
     os.makedirs(cfg["out"], exist_ok=True)
     if cfg["estimator_kind"] == "per-mesh-affine":
         ests = train_ensemble(dataset, StackedBasis(bases), tcfg)
@@ -352,26 +342,16 @@ def _cmd_train(args):
     for i, est in enumerate(ests):
         save_estimator(est, os.path.join(cfg["out"], f"estimator_{i:03d}.est"))
         val_losses.append(float(est.history.val_loss[-1]))
+    # an empty validation split gives NaN, which strict JSON cannot hold
     _write_manifest(cfg["out"], "train", cfg,
-                    {"count": len(ests), "final_val_loss": val_losses})
+                    {"count": len(ests), "final_val_loss":
+                     [v if math.isfinite(v) else None for v in val_losses]})
     print(f"trained {len(ests)} estimator(s) to {cfg['out']} "
           f"(final val loss {', '.join(f'{v:.3e}' for v in val_losses)})")
     return EXIT_OK
 
 
-def _cmd_estimate(args):
-    cfg = _resolve(args, [
-        ("backend", str, None, True),
-        ("meshes", str, None, True),
-        ("grid_side", int, None, True),
-        ("data", str, None, False),
-        ("measurements", str, None, False),
-        ("sensors", int, None, False),
-        ("warm", str, None, False),
-        ("estimators", str, None, False),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_estimate(cfg):
     _require_dir(cfg["meshes"], "meshes")
     grid = Grid(cfg["grid_side"])
     bases = [rasterize(m, grid) for m in _load_meshes(cfg["meshes"])]
@@ -401,11 +381,7 @@ def _cmd_estimate(args):
         if len(ests) != len(bases):
             raise ConfigError(f"field 'estimators': {len(ests)} estimators for "
                               f"{len(bases)} meshes")
-        try:
-            rows = [[estimate_coeffs(e, b, w) for e, b in zip(ests, bases)]
-                    for w in warms]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        rows = [[estimate_coeffs(e, b, w) for e, b in zip(ests, bases)] for w in warms]
     else:
         raise ConfigError(f"field 'backend': expected oracle|oblique|learned, "
                           f"got {backend!r}")
@@ -420,22 +396,10 @@ def _cmd_estimate(args):
     return EXIT_OK
 
 
-def _cmd_reconstruct(args):
-    cfg = _resolve(args, [
-        ("method", str, "recombine", True),
-        ("coeffs", str, None, False),
-        ("meshes", str, None, False),
-        ("measurements", str, None, False),
-        ("sensors", int, None, False),
-        ("grid_side", int, None, True),
-        ("tv_weight", float, 0.0, True),
-        ("max_iters", int, 500, True),
-        ("tol", float, 1e-9, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_reconstruct(cfg):
     grid = Grid(cfg["grid_side"])
-    opts = _solve_options(cfg, tv_weight=cfg["tv_weight"])
+    opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"],
+                        tv_weight=cfg["tv_weight"])
     os.makedirs(cfg["out"], exist_ok=True)
     if cfg["method"] == "recombine":
         _require_dir(cfg["coeffs"], "coeffs")
@@ -483,16 +447,7 @@ def _cmd_reconstruct(args):
     return EXIT_OK
 
 
-def _cmd_kernel_mc(args):
-    cfg = _resolve(args, [
-        ("triangles", int, None, True),
-        ("subspaces", int, None, True),
-        ("trials", int, None, True),
-        ("grid_side", int, 32, True),
-        ("pixel", str, "center", True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-    ])
+def _cmd_kernel_mc(cfg):
     grid = Grid(cfg["grid_side"])
     if cfg["pixel"] == "center":
         i = j = grid.side // 2
@@ -505,11 +460,8 @@ def _cmd_kernel_mc(args):
         raise ConfigError(f"field 'pixel': ({i},{j}) outside {grid.side}x{grid.side}")
     x = Image.zeros(grid)
     x.values[i * grid.side + j] = 1.0
-    try:
-        est = mc_expected_recon(x, cfg["triangles"], cfg["subspaces"],
-                                cfg["trials"], Seed(cfg["seed"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    est = mc_expected_recon(x, cfg["triangles"], cfg["subspaces"], cfg["trials"],
+                            Seed(cfg["seed"]))
     os.makedirs(cfg["out"], exist_ok=True)
     save_image(est.mean_image, os.path.join(cfg["out"], "mean.f32raw"), "f32raw")
     save_image(est.mean_image, os.path.join(cfg["out"], "mean.pgm"), "pgm16")
@@ -539,27 +491,8 @@ def _write_panel(mats, path):
         fh.write(panel.astype(">u2").tobytes())
 
 
-def _label_dirs(value):
-    if not isinstance(value, dict):
-        raise ValueError("expected an object label -> dir")
-    return dict(value)
-
-
-def _cmd_evaluate(args):
-    cfg = _resolve(args, [
-        ("data", str, None, True),
-        ("seed", int, 0, True),
-        ("out", str, None, True),
-        ("recons", _label_dirs, None, False),
-    ])
-    recons = dict(cfg["recons"] or {})
-    for spec in args.recon or []:
-        label, eq, path = spec.partition("=")
-        if not eq or not label or not path:
-            raise ConfigError(f"field 'recon': expected LABEL=DIR, got {spec!r}")
-        recons[label] = path
-    if not recons:
-        raise ConfigError("missing required field 'recon' (repeat --recon LABEL=DIR)")
+def _cmd_evaluate(cfg):
+    recons = cfg["recons"]
     _require_dir(cfg["data"], "data")
     truth, _ = load_dataset(cfg["data"])
     labels = sorted(recons)
@@ -567,7 +500,7 @@ def _cmd_evaluate(args):
     for label in labels:
         imgs = _load_images_dir(_require_dir(recons[label], f"recon '{label}'"))
         if len(imgs) != len(truth):
-            raise ConfigError(f"field 'recon': '{label}' has {len(imgs)} images, "
+            raise ConfigError(f"field 'recons': '{label}' has {len(imgs)} images, "
                               f"dataset has {len(truth)}")
         columns[label] = imgs
     os.makedirs(cfg["out"], exist_ok=True)
@@ -583,8 +516,7 @@ def _cmd_evaluate(args):
         for i in range(len(truth)):
             fh.write(f"{i:05d}," + ",".join(f"{snrs[label][i]:.6f}" for label in labels) + "\n")
         fh.write("mean," + ",".join(f"{float(np.mean(snrs[label])):.6f}" for label in labels) + "\n")
-    _write_manifest(cfg["out"], "evaluate",
-                    {**cfg, "recons": {k: recons[k] for k in labels}},
+    _write_manifest(cfg["out"], "evaluate", cfg,
                     {"count": len(truth),
                      "mean_snr_db": {label: float(np.mean(snrs[label])) for label in labels}})
     for label in labels:
@@ -597,48 +529,36 @@ def _cmd_evaluate(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_flags(sub, names):
-    flags = {
-        "count": (int, "number of images"),
-        "grid_side": (int, "pixels per image side"),
-        "kind": (str, "dataset kind: shapes | checkerboard"),
-        "shapes_min": (int, "minimum shapes per image"),
-        "shapes_max": (int, "maximum shapes per image"),
-        "intensity_min": (float, "lower intensity bound"),
-        "intensity_max": (float, "upper intensity bound"),
-        "cells": (int, "checkerboard cells per side"),
-        "seed": (int, "RNG seed (recorded in the manifest)"),
-        "out": (str, "output directory"),
-        "triangles": (int, "triangles per mesh (K)"),
-        "subspaces": (int, "number of meshes"),
-        "data": (str, "dataset directory"),
-        "sensors": (int, "sensors on the boundary circle"),
-        "measurements": (str, "measurement directory"),
-        "snr_db": (str, "input SNR in dB, or 'inf' for noiseless"),
-        "erasure_p": (float, "independent erasure probability"),
-        "max_iters": (int, "solver iteration cap"),
-        "tol": (float, "solver tolerance"),
-        "warm": (str, "warm-start image directory"),
-        "meshes": (str, "mesh directory"),
-        "estimator_kind": (str, "per-mesh-affine | shared-pooled"),
-        "epochs": (int, "accepted for old configs; the closed-form fit ignores it"),
-        "batch_size": (int, "accepted for old configs; the closed-form fit ignores it"),
-        "lr": (float, "accepted for old configs; the closed-form fit ignores it"),
-        "validation_fraction": (float, "held-out fraction during training"),
-        "weight_decay": (float, "ridge penalty on weights (per-entry MSE scale)"),
-        "backend": (str, "oracle | oblique | learned"),
-        "estimators": (str, "trained estimator directory"),
-        "method": (str, "recombine | tv-direct"),
-        "coeffs": (str, "coefficient directory"),
-        "tv_weight": (float, "TV regularization weight"),
-        "trials": (int, "Monte Carlo trials"),
-        "pixel": (str, "'center' or 'i,j' test pixel"),
-    }
-    sub.add_argument("--config", help="JSON config file (flags override it)")
-    for name in names:
-        typ, help_text = flags[name]
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=typ,
-                         help=help_text)
+# Each command's handler, help line and field defaults, declared once.
+_COMMANDS = {
+    "gen-data": (_cmd_gen_data, "generate a phantom dataset",
+        dict(count=1, grid_side=REQUIRED, kind="shapes", shapes_min=2, shapes_max=6,
+             intensity_min=0.2, intensity_max=1.0, cells=None, seed=0, out=REQUIRED)),
+    "gen-mesh": (_cmd_gen_mesh, "generate random Delaunay meshes",
+        dict(triangles=REQUIRED, subspaces=1, seed=0, out=REQUIRED)),
+    "forward": (_cmd_forward, "project a dataset through the ray matrix",
+        dict(data=REQUIRED, sensors=REQUIRED, grid_side=None, out=REQUIRED)),
+    "corrupt": (_cmd_corrupt, "add noise and erasures to measurements",
+        dict(measurements=REQUIRED, snr_db=math.inf, erasure_p=0.0, seed=0, out=REQUIRED)),
+    "nnls": (_cmd_nnls, "box-constrained least-squares warm starts",
+        dict(measurements=REQUIRED, sensors=REQUIRED, grid_side=REQUIRED, max_iters=500, tol=1e-9,
+             out=REQUIRED)),
+    "train": (_cmd_train, "fit coefficient estimators",
+        dict(data=REQUIRED, warm=REQUIRED, meshes=REQUIRED, grid_side=REQUIRED,
+             estimator_kind="per-mesh-affine", epochs=80, batch_size=32, lr=1e-3,
+             validation_fraction=0.2, weight_decay=0.0, seed=0, out=REQUIRED)),
+    "estimate": (_cmd_estimate, "estimate subspace coefficients",
+        dict(backend=REQUIRED, meshes=REQUIRED, grid_side=REQUIRED, data=None, measurements=None,
+             sensors=None, warm=None, estimators=None, out=REQUIRED)),
+    "reconstruct": (_cmd_reconstruct, "recombine coefficients or invert directly",
+        dict(method="recombine", coeffs=None, meshes=None, measurements=None, sensors=None,
+             grid_side=REQUIRED, tv_weight=0.0, max_iters=500, tol=1e-9, out=REQUIRED)),
+    "kernel-mc": (_cmd_kernel_mc, "Monte Carlo expected-reconstruction study",
+        dict(triangles=REQUIRED, subspaces=REQUIRED, trials=REQUIRED, grid_side=32, pixel="center",
+             seed=0, out=REQUIRED)),
+    "evaluate": (_cmd_evaluate, "output-SNR report and inspection panels",
+        dict(data=REQUIRED, out=REQUIRED, recons=REQUIRED)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,56 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="meshtomo",
         description="Random-mesh subspace tomography pipeline.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("gen-data", help="generate a phantom dataset")
-    _add_flags(sub, ["count", "grid_side", "kind", "shapes_min", "shapes_max",
-                     "intensity_min", "intensity_max", "cells", "seed", "out"])
-    sub.set_defaults(func=_cmd_gen_data)
-
-    sub = subs.add_parser("gen-mesh", help="generate random Delaunay meshes")
-    _add_flags(sub, ["triangles", "subspaces", "seed", "out"])
-    sub.set_defaults(func=_cmd_gen_mesh)
-
-    sub = subs.add_parser("forward", help="project a dataset through the ray matrix")
-    _add_flags(sub, ["data", "sensors", "grid_side", "seed", "out"])
-    sub.set_defaults(func=_cmd_forward)
-
-    sub = subs.add_parser("corrupt", help="add noise and erasures to measurements")
-    _add_flags(sub, ["measurements", "snr_db", "erasure_p", "seed", "out"])
-    sub.set_defaults(func=_cmd_corrupt)
-
-    sub = subs.add_parser("nnls", help="box-constrained least-squares warm starts")
-    _add_flags(sub, ["measurements", "sensors", "grid_side", "max_iters", "tol",
-                     "seed", "out"])
-    sub.set_defaults(func=_cmd_nnls)
-
-    sub = subs.add_parser("train", help="fit coefficient estimators")
-    _add_flags(sub, ["data", "warm", "meshes", "grid_side", "estimator_kind",
-                     "epochs", "batch_size", "lr",
-                     "validation_fraction", "weight_decay", "seed", "out"])
-    sub.set_defaults(func=_cmd_train)
-
-    sub = subs.add_parser("estimate", help="estimate subspace coefficients")
-    _add_flags(sub, ["backend", "meshes", "grid_side", "data", "measurements",
-                     "sensors", "warm", "estimators", "seed", "out"])
-    sub.set_defaults(func=_cmd_estimate)
-
-    sub = subs.add_parser("reconstruct", help="recombine coefficients or invert directly")
-    _add_flags(sub, ["method", "coeffs", "meshes", "measurements", "sensors",
-                     "grid_side", "tv_weight", "max_iters", "tol", "seed", "out"])
-    sub.set_defaults(func=_cmd_reconstruct)
-
-    sub = subs.add_parser("kernel-mc", help="Monte Carlo expected-reconstruction study")
-    _add_flags(sub, ["triangles", "subspaces", "trials", "grid_side", "pixel",
-                     "seed", "out"])
-    sub.set_defaults(func=_cmd_kernel_mc)
-
-    sub = subs.add_parser("evaluate", help="output-SNR report and inspection panels")
-    _add_flags(sub, ["data", "seed", "out"])
-    sub.add_argument("--recon", action="append", metavar="LABEL=DIR",
-                     help="reconstruction directory to score (repeatable)")
-    sub.set_defaults(func=_cmd_evaluate)
-
+    for command, (_, help_text, fields) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON config file (flags override it)")
+        for name in fields:
+            if name == "recons":
+                sub.add_argument("--recon", dest=name, action="append",
+                                 metavar="LABEL=DIR", help=_OPTIONS[name][1])
+            else:
+                sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                                 help=_OPTIONS[name][1])
     return parser
 
 
@@ -705,11 +585,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    handler, _, fields = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return handler(_resolve(args, fields))
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
@@ -719,7 +597,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and the library's own argument checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -203,7 +203,7 @@ def save_dataset(images, path, manifest: dict | None = None) -> None:
     man.setdefault("side", side)
     man["files"] = [f"{i:05d}.f32raw" for i in range(len(images))]
     with open(os.path.join(path, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(man, fh, sort_keys=True, indent=1)
+        json.dump(man, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -215,14 +215,17 @@ def load_dataset(path):
     with open(man_path, "r", encoding="ascii") as fh:
         try:
             man = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{man_path}: {exc}") from exc
-    try:
-        files = man["files"]
-    except KeyError:
-        raise FormatError(f"{man_path}: missing 'files' list") from None
+    if not isinstance(man, dict):
+        raise FormatError(f"{man_path}: top level must be a JSON object")
+    files = man.get("files")
+    if not isinstance(files, list) or not files:
+        raise FormatError(f"{man_path}: missing or empty 'files' list")
     images = []
     for name in files:
+        if not (isinstance(name, str) and name == os.path.basename(name)):
+            raise FormatError(f"{man_path}: 'files' entry {name!r} is not a plain file name")
         fpath = os.path.join(path, name)
         if not os.path.isfile(fpath):
             raise FileNotFoundError(fpath)

@@ -352,6 +352,15 @@ def save_estimator(est: Estimator, path) -> None:
         fh.write(blob)
 
 
+def _shape(path, header, key):
+    shape = header[key]
+    if not (isinstance(shape, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape)):
+        raise FormatError(f"{path}: header field {key!r} must be a list of "
+                          f"non-negative integers, got {shape!r}")
+    return tuple(shape)
+
+
 def load_estimator(path) -> Estimator:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -362,13 +371,14 @@ def load_estimator(path) -> Estimator:
         header = json.loads(blob[:newline].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unparseable JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object")
     for key in ("kind", "weight_shape", "bias_shape"):
         if key not in header:
             raise FormatError(f"{path}: header missing field {key!r}")
     if header["kind"] not in _KINDS:
         raise FormatError(f"{path}: unknown estimator kind {header['kind']!r}")
-    w_shape = tuple(int(v) for v in header["weight_shape"])
-    b_shape = tuple(int(v) for v in header["bias_shape"])
+    w_shape, b_shape = (_shape(path, header, key) for key in ("weight_shape", "bias_shape"))
     n_params = int(np.prod(w_shape)) + int(np.prod(b_shape))
     payload = blob[newline + 1 :]
     if len(payload) != 4 * n_params:

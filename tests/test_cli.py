@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -145,10 +146,11 @@ def test_evaluate_recons_from_config_file(pipe, tmp_path):
     man = json.loads((tmp_path / "from-file" / "manifest.json").read_text())
     assert man["config"]["recons"] == {"sub": str(pipe["recon_sub"]),
                                        "tv": str(pipe["recon_tv"])}
-    not_object = tmp_path / "list.json"
-    not_object.write_text(json.dumps({"recons": [str(pipe["recon_sub"])]}))
-    assert run("evaluate", "--config", not_object, "--data", pipe["data"],
-               "--out", tmp_path / "x") == 2
+    for i, recons in enumerate(([str(pipe["recon_sub"])], {}, {"sub": 3})):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps({"recons": recons}))
+        assert run("evaluate", "--config", bad, "--data", pipe["data"],
+                   "--out", tmp_path / "x") == 2
 
 
 def test_kernel_mc_outputs(pipe):
@@ -301,3 +303,82 @@ def test_evaluate_count_mismatch(pipe, tmp_path):
 def test_help_exits_zero():
     assert run("--help") == 0
     assert run("gen-data", "--help") == 0
+
+
+def test_numeric_fields_reject_bools_fractions_and_nan(pipe, tmp_path, capsys):
+    for i, bad in enumerate(({"count": 2.7, "grid_side": 8}, {"count": 2, "grid_side": 8.9},
+                             {"count": True, "grid_side": 8})):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps({**bad, "out": str(tmp_path / f"bad{i}")}))
+        assert run("gen-data", "--config", cfg) == 2
+        field = "count" if i != 1 else "grid_side"
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / f"bad{i}").exists()
+    assert run("gen-data", "--count", 2.5, "--grid-side", 8, "--out", tmp_path / "flag") == 2
+    assert run("corrupt", "--measurements", pipe["meas"], "--snr-db", "nan",
+               "--out", tmp_path / "nan") == 2
+    assert "field 'snr_db'" in capsys.readouterr().err
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"count": 3.0, "grid_side": "8", "out": str(tmp_path / "ok")}))
+    assert run("gen-data", "--config", ok) == 0
+    images, man = load_dataset(tmp_path / "ok")
+    assert len(images) == 3 and images[0].grid.side == 8
+    assert man["config"]["count"] == 3 and man["config"]["grid_side"] == 8
+
+
+def test_forward_on_malformed_dataset_manifest_exits_3(pipe, tmp_path):
+    bad = tmp_path / "list-manifest"
+    shutil.copytree(pipe["data"], bad)
+    (bad / "manifest.json").write_text(json.dumps(["00000.f32raw"]))
+    assert run("forward", "--data", bad, "--sensors", 10, "--out", tmp_path / "a") == 3
+
+
+def test_train_without_validation_writes_strict_json(pipe, tmp_path):
+    out = tmp_path / "est-noval"
+    assert run("train", "--data", pipe["data"], "--warm", pipe["warm"],
+               "--meshes", pipe["meshes"], "--grid-side", 12,
+               "--validation-fraction", 0, "--out", out) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    man = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+    assert man["final_val_loss"] == [None, None]
+
+
+# the commands that draw no random numbers take no --seed
+_UNSEEDED = ("forward", "nnls", "estimate", "reconstruct", "evaluate")
+
+
+def test_help_flags_match_declared_fields(capsys):
+    from meshtomo.cli import _COMMANDS
+    assert len(_COMMANDS) == 10
+    for command, (_, _, fields) in _COMMANDS.items():
+        capsys.readouterr()
+        assert run(command, "--help") == 0
+        shown = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+        expected = {"--" + name.replace("_", "-") for name in fields if name != "recons"}
+        expected |= {"--config"} | ({"--recon"} if command == "evaluate" else set())
+        assert shown == expected, command
+        assert ("seed" in fields) == (command not in _UNSEEDED), command
+
+
+def test_unseeded_commands_reject_seed(pipe, tmp_path, capsys):
+    argvs = {
+        "forward": ["--data", pipe["data"], "--sensors", 10],
+        "nnls": ["--measurements", pipe["noisy"], "--sensors", 10, "--grid-side", 12],
+        "estimate": ["--backend", "oracle", "--meshes", pipe["meshes"], "--grid-side", 12,
+                     "--data", pipe["data"]],
+        "reconstruct": ["--method", "tv-direct", "--measurements", pipe["noisy"],
+                        "--sensors", 10, "--grid-side", 12, "--max-iters", 5],
+        "evaluate": ["--data", pipe["data"], "--recon", f"tv={pipe['recon_tv']}"],
+    }
+    assert set(argvs) == set(_UNSEEDED)
+    for command, argv in argvs.items():
+        out = tmp_path / command
+        assert run(command, *argv, "--seed", 1, "--out", out) == 2
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"seed": 1}))
+        assert run(command, "--config", cfg, *argv, "--out", out) == 2
+        assert "unknown config field 'seed'" in capsys.readouterr().err
+        assert run(command, *argv, "--out", out) == 0

@@ -226,3 +226,20 @@ def test_dataset_errors(tmp_path):
     (nofiles / "manifest.json").write_text('{"count": 1}')
     with pytest.raises(FormatError, match="files"):
         load_dataset(nofiles)
+
+
+def test_load_dataset_rejects_malformed_manifests(tmp_path):
+    root = tmp_path / "ds"
+    save_dataset([Image.zeros(Grid(8))], root)
+    for name, manifest, match in (
+            ("list", ["00000.f32raw"], "JSON object"),
+            ("files-not-list", {"files": "00000.f32raw"}, "files"),
+            ("files-empty", {"files": []}, "files"),
+            ("files-path", {"files": ["../ds/00000.f32raw"]}, "plain file name"),
+            ("files-number", {"files": [0]}, "plain file name")):
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "00000.f32raw").write_bytes((root / "00000.f32raw").read_bytes())
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=match):
+            load_dataset(bad)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,25 @@ def test_warm_start_pipeline_beats_zero_estimator():
     err_trained = np.linalg.norm(estimate_coeffs(est, basis, warm) - q_true)
     err_zero = np.linalg.norm(q_true)
     assert err_trained < 0.5 * err_zero
+
+
+def test_load_estimator_rejects_non_object_header(tmp_path):
+    good = tmp_path / "good.est"
+    save_estimator(Estimator.zero_pooled(), good)
+    bad = tmp_path / "five.est"
+    bad.write_bytes(b"5\n" + good.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(FormatError, match="JSON object"):
+        load_estimator(bad)
+
+
+def test_load_estimator_rejects_non_integer_shapes(tmp_path):
+    good = tmp_path / "good.est"
+    save_estimator(Estimator.zero_pooled(), good)
+    header, payload = good.read_bytes().split(b"\n", 1)
+    for i, shape in enumerate((["a"], [1.5], [True], [-1], 5)):
+        bad = tmp_path / f"bad{i}.est"
+        head = header.decode().replace('"weight_shape":[5]', '"weight_shape":' + json.dumps(shape))
+        assert head != header.decode()
+        bad.write_bytes(head.encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match="weight_shape"):
+            load_estimator(bad)
