@@ -171,7 +171,7 @@ def _jsonable(cfg):
     out = {}
     for key, value in cfg.items():
         if isinstance(value, float) and math.isinf(value):
-            out[key] = "inf"
+            out[key] = "inf" if value > 0 else "-inf"
         else:
             out[key] = value
     return out
@@ -284,6 +284,8 @@ def _cmd_forward(cfg):
 def _cmd_corrupt(cfg):
     if not (0.0 <= cfg["erasure_p"] <= 1.0):
         raise ConfigError("field 'erasure_p': must be in [0, 1]")
+    if cfg["snr_db"] == -math.inf:
+        raise ConfigError("field 'snr_db': must be finite or inf, got -inf")
     _require_dir(cfg["measurements"], "measurements")
     paths = _listed(cfg["measurements"], ".csv")
     seed = Seed(cfg["seed"])

@@ -98,6 +98,13 @@ def build_oblique(a, basis) -> ObliqueOperator:
     ab = a_mat @ b_mat
     ab = np.asarray(ab.todense()) if sparse.issparse(ab) else np.asarray(ab)
     k = ab.shape[1]
+    # a column that no ray sees already proves rank < K; most rejected draws
+    # stop here without paying for the SVD
+    empty = np.flatnonzero(~ab.any(axis=0))
+    if empty.size:
+        raise ValueError(
+            f"A B is rank deficient: columns {empty.tolist()} of A B are zero; "
+            "the subspace is not identifiable from these rays")
     u, s, vt = np.linalg.svd(ab, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-10)) if s.size else 0
     if rank < k:

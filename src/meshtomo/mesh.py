@@ -455,6 +455,52 @@ class StackedBasis:
         return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
                                  shape=(n, self.total_k))
 
+    @cached_property
+    def csr_pair(self) -> tuple:
+        """(B, B^T) as CSR matrices, built on first use and kept.
+
+        The stack's bases are not reassigned after construction. Callers must
+        not modify the matrices; :meth:`to_sparse` gives a fresh copy.
+        """
+        b = self.to_sparse()
+        return b, b.T.tocsr()
+
+    @cached_property
+    def _gram_eig(self) -> tuple:
+        """(pixel_side, vectors, inverse eigenvalues) of the smaller Gram matrix.
+
+        G = B B^T (N x N) when N <= sum(K), else M = B^T B (sum(K) x sum(K)).
+        One ``eigh`` of the m x m Gram costs O(m^3) once and keeps O(m^2)
+        floats, m = min(N, sum(K)); m^2 <= N sum(K), so it never exceeds a
+        dense B. Eigenvalues at or below lambda_max * m * eps (the cut
+        ``numpy.linalg.lstsq`` makes) are dropped: G is singular whenever two
+        pixels share a triangle in every mesh, and M for two or more meshes,
+        since every mesh subspace holds the constant image.
+        """
+        b, bt = self.csr_pair
+        pixel_side = self.grid.n_pixels <= self.total_k
+        gram = (b @ bt if pixel_side else bt @ b).toarray()
+        lam, vecs = np.linalg.eigh(gram)
+        keep = lam > lam[-1] * len(lam) * np.finfo(np.float64).eps
+        return pixel_side, vecs[:, keep], 1.0 / lam[keep]
+
+    def minnorm_lstsq(self, q: np.ndarray) -> np.ndarray:
+        """pinv(B^T) q: the minimum-norm least-squares solution x of B^T x = q.
+
+        Uses pinv(B^T) = pinv(B B^T) B = B pinv(B^T B), on whichever Gram
+        matrix is smaller. The Gram's eigendecomposition is computed on the
+        first call and kept, so later calls cost two dense products with the
+        kept eigenvectors.
+        """
+        q = np.asarray(q, dtype=np.float64).reshape(-1)
+        if q.size != self.total_k:
+            raise ValueError(f"expected {self.total_k} coefficients, got {q.size}")
+        pixel_side, vecs, inv_lam = self._gram_eig
+        b = self.csr_pair[0]
+        if pixel_side:
+            return vecs @ (inv_lam * (vecs.T @ (b @ q)))
+        return b @ (vecs @ (inv_lam * (vecs.T @ q)))
+
 
 def save_basis(basis: SubspaceBasis, path) -> None:
     """Persist a basis as mesh + grid side; the assignment is recomputed on load."""

@@ -49,6 +49,8 @@ RECOMBINE_GRID = (0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5)
 TRAIN_SNR_MIX = (20.0, 10.0)
 TRAIN_CFG = dict(epochs=500, batch_size=32, lr=1e-3, weight_decay=1.5e-4)
 
+pytestmark = pytest.mark.slow
+
 
 def _verdict(n, ok, detail):
     print(f"\nACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} — {detail}")

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import re
 import shutil
 
 import numpy as np
 import pytest
 
+from meshtomo import cli
 from meshtomo.cli import main
 from meshtomo.core import load_image
 from meshtomo.data import load_dataset, output_snr
@@ -226,6 +228,16 @@ def test_corrupt_inf_is_identity(pipe, tmp_path):
             (pipe["meas"] / f"y_{i:05d}.csv").read_bytes()
     man = json.loads((out / "manifest.json").read_text())
     assert man["config"]["snr_db"] == "inf"
+
+
+def test_corrupt_rejects_negative_infinite_snr(pipe, tmp_path, capsys):
+    # infinite noise cannot be drawn; it must not run as noiseless
+    out = tmp_path / "minus-inf"
+    assert run("corrupt", "--measurements", pipe["meas"], "--snr-db=-inf",
+               "--out", out) == 2
+    assert "field 'snr_db'" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli._jsonable({"lo": -math.inf, "hi": math.inf}) == {"lo": "-inf", "hi": "inf"}
 
 
 def test_config_error_exit_codes(pipe, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,49 @@ def test_build_oblique_unseen_direction_is_rank_zero():
     b = np.array([[0.0], [0.0], [1.0]])
     with pytest.raises(ValueError, match="rank deficient"):
         build_oblique(a, b)
+
+
+def test_build_oblique_rejects_unseen_triangle_before_svd(monkeypatch):
+    # a triangle holding only pixels outside the sensor disk gives a zero
+    # column of A B; that alone proves rank < K, so no SVD is needed
+    grid = Grid(16)
+    rm = build_ray_matrix(place_sensors(25), grid)
+    seen = np.asarray(abs(rm.matrix).sum(axis=0)).ravel() > 0
+    for s in range(7900, 8100):
+        basis = rasterize(mesh_with_k_triangles(12, Seed(s)), grid)
+        unseen = [c for c in range(basis.k) if not seen[basis.assignment == c].any()]
+        if unseen:
+            break
+    else:
+        raise RuntimeError("no mesh with an unseen triangle found")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError, match=re.escape(f"columns {unseen} of A B are zero")):
+        build_oblique(rm, basis)
+
+
+def test_build_oblique_verdicts_match_rank_on_acceptance_draws():
+    # the acceptance geometry's mesh stream: 50 identifiable K=50 meshes
+    # after 341 draws, each verdict the same as the rank of A B
+    grid = Grid(32)
+    rm = build_ray_matrix(place_sensors(25), grid)
+    kept, draws = [], 0
+    while len(kept) < 50:
+        basis = rasterize(mesh_with_k_triangles(50, Seed(7100).derive(draws)), grid)
+        sv = np.linalg.svd((rm.matrix @ basis.to_sparse()).toarray(), compute_uv=False)
+        try:
+            build_oblique(rm, basis)
+            ok = True
+        except ValueError:
+            ok = False
+        assert ok == (sv[-1] > sv[0] * 1e-10), draws
+        if ok:
+            kept.append(draws)
+        draws += 1
+    assert draws == 341
 
 
 def test_build_oblique_shape_mismatch():

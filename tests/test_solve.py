@@ -9,7 +9,7 @@ from meshtomo.core import Grid, Image, Seed
 from meshtomo.data import ShapesConfig, gen_shapes
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
 from meshtomo.solve import (SolveOptions, SolveResult, SolverError, _cgls, _chambolle_pock,
-                            _fista, _stack_norm, minnorm_solve, nnls, power_norm,
+                            _fista, minnorm_solve, nnls, power_norm,
                             solve_reformulated, tv_direct)
 from meshtomo.tomo import Measurement, build_ray_matrix, erase, forward, place_sensors
 
@@ -215,11 +215,64 @@ def test_recombination_warm_start_is_least_squares_optimum():
     assert optimum > 1e-4 * float(q @ q)                # inconsistent
     res = solve_reformulated(stack, q, SolveOptions(box=None, tv_weight=0.0, max_iters=1))
     assert res.objectives[0] == pytest.approx(optimum, rel=1e-8)
+    x = stack.minnorm_lstsq(q)
+    rel = np.linalg.norm(bt @ x - q) / np.linalg.norm(q)
+    assert rel == pytest.approx(np.sqrt(optimum) / np.linalg.norm(q), rel=1e-8)
+    assert np.allclose(x, ref, atol=1e-6)
+    # minnorm_solve's CGLS reaches the same optimum by its least-squares stop
     x, rel, reason = _cgls(stack.to_sparse(), q, 1e-8, 4 * stack.total_k + 100,
                            np.sqrt(len(stack.bases)))
     assert reason == "least_squares"
     assert rel == pytest.approx(np.sqrt(optimum) / np.linalg.norm(q), rel=1e-8)
     assert np.allclose(x, ref, atol=1e-6)
+
+
+def test_stack_minnorm_lstsq_matches_lstsq():
+    # both Gram branches: N <= sum(K) factors G = B B^T, N > sum(K) M = B^T B;
+    # G and the multi-mesh M are singular here, and q is consistent or
+    # perturbed out of range(B^T)
+    grid = Grid(12)
+    rng = Seed(24).rng()
+    cases = (([30] * 6, True), ([6, 7, 8], False), ([9], False))
+    for seed0, (ks, pixel_side) in enumerate(cases, start=240):
+        stack = make_stack(grid, ks, 10 * seed0)
+        b = stack.to_sparse().toarray()
+        assert (grid.n_pixels <= stack.total_k) == pixel_side
+        gram = b @ b.T if pixel_side else b.T @ b
+        if len(ks) > 1:
+            assert np.linalg.matrix_rank(gram) < len(gram)
+        if pixel_side:
+            # pixels that share a triangle in every mesh make G singular
+            rows = {tuple(r) for r in np.column_stack([bb.assignment for bb in stack.bases])}
+            assert len(rows) < grid.n_pixels
+        q = stack.coeffs(Image(grid, rng.uniform(0, 1, grid.n_pixels)))
+        for q in (q, q + 0.05 * rng.standard_normal(q.size)):
+            ref = np.linalg.lstsq(b.T, q, rcond=None)[0]
+            x = stack.minnorm_lstsq(q)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), (ks, pixel_side)
+    with pytest.raises(ValueError):
+        stack.minnorm_lstsq(q[:-1])
+
+
+def test_stack_factor_built_once_and_only_by_recombination(monkeypatch):
+    grid = Grid(12)
+    stack = make_stack(grid, [30] * 6, 260)
+    q = stack.coeffs(Image(grid, Seed(25).rng().uniform(0, 1, grid.n_pixels)))
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    minnorm_solve(stack, q)
+    stack.coeffs(Image(grid, np.ones(grid.n_pixels)))
+    stack.to_sparse()
+    assert calls == [] and "_gram_eig" not in vars(stack)
+    for _ in range(3):
+        solve_reformulated(stack, q, SolveOptions(tv_weight=0.03, max_iters=5))
+    assert calls == [(grid.n_pixels, grid.n_pixels)]
 
 
 def test_solve_reformulated_never_worse_than_warm_start():
@@ -428,9 +481,8 @@ def test_recombination_matches_reference_loop():
     for q, lam, capped in ((q_incons, 0.3, True), (stack.coeffs(images[1]), 0.03, False)):
         opts = SolveOptions(tv_weight=lam, max_iters=600)
         res = solve_reformulated(stack, q, opts)
-        start = _cgls(bs, q, 1e-8, 4 * stack.total_k + 100, _stack_norm(stack))[0]
         ref = reference_chambolle_pock(bs.T.tocsr(), bs, q, grid, opts,
-                                       _ref_clip(start, opts.box))
+                                       _ref_clip(stack.minnorm_lstsq(q), opts.box))
         assert_same_solve(res, ref)
         assert (res.iterations == 600) == capped and res.converged != capped
 
