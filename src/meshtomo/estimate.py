@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -25,7 +26,6 @@ __all__ = [
     "ObliqueOperator",
     "TrainConfig",
     "TrainHistory",
-    "basis_fingerprint",
     "build_oblique",
     "estimate_coeffs",
     "load_estimator",
@@ -46,52 +46,41 @@ def oracle_coeffs(basis: SubspaceBasis, x: Image) -> np.ndarray:
     return basis.coeffs(x)
 
 
-def basis_fingerprint(basis: SubspaceBasis) -> str:
-    """Stable hash of (mesh, grid side), used to bind estimators to their basis.
-
-    The hash is ``SubspaceBasis.fingerprint``, computed once per basis.
-    """
-    return basis.fingerprint
-
-
 # ---------------------------------------------------------------------------
 # oblique (consistent linear) estimator
 
 @dataclass
 class ObliqueOperator:
-    """F = B (A B)^+, the linear reconstruction consistent on the subspace.
+    """The oblique estimator as its coefficient map C = (A B)^+ (K x M).
 
-    F A b = b for every basis column b, so measurements of a subspace image
-    reproduce it exactly; generic images land obliquely in the subspace.
+    F = B C is the reconstruction consistent on the subspace: F A b = b for
+    every basis column b; generic images land obliquely in the subspace.
+    ``basis_matrix`` is B as given (CSR for a SubspaceBasis); the dense N x M
+    F is formed only when ``operator`` is read.
     """
 
-    operator: np.ndarray       # (N, M)
-    basis_matrix: np.ndarray   # (N, K), dense or sparse
-    fingerprint: str = ""
+    coeff_map: np.ndarray      # (K, M)
+    basis_matrix: object       # (N, K), CSR or dense
 
-    @property
-    def k(self) -> int:
-        return self.basis_matrix.shape[1]
-
-
-def _basis_matrix(basis):
-    if isinstance(basis, (SubspaceBasis, StackedBasis)):
-        return basis.to_sparse()
-    mat = np.asarray(basis, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("basis must be a 2-D matrix")
-    return mat
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """F = B C (N x M), built on first use and kept."""
+        return np.asarray(self.basis_matrix @ self.coeff_map)
 
 
 def build_oblique(a, basis) -> ObliqueOperator:
-    """Build F = B (A B)^+ and verify subspace consistency.
+    """Build C = (A B)^+ and verify subspace consistency, C A B = I_K.
 
     ``a`` is a RayMatrix or plain matrix; ``basis`` a SubspaceBasis (or raw
-    N x K matrix for test harnesses). Raises if A B is column-rank deficient.
+    N x K matrix for test harnesses). Raises ValueError if A B is column-rank
+    deficient, and SolverError if C A B departs from I_K by more than 1e-8.
     """
     a_mat = a.matrix if isinstance(a, RayMatrix) else (
         a if sparse.issparse(a) else np.asarray(a, dtype=np.float64))
-    b_mat = _basis_matrix(basis)
+    b_mat = (basis.to_sparse() if isinstance(basis, SubspaceBasis)
+             else np.asarray(basis, dtype=np.float64))
+    if b_mat.ndim != 2:
+        raise ValueError("basis must be a 2-D matrix")
     if a_mat.shape[1] != b_mat.shape[0]:
         raise ValueError(
             f"operator has {a_mat.shape[1]} columns but basis has {b_mat.shape[0]} rows")
@@ -112,28 +101,24 @@ def build_oblique(a, basis) -> ObliqueOperator:
             f"A B is rank deficient: rank {rank} < K = {k}; "
             "the subspace is not identifiable from these rays")
     pinv = (vt.T / s) @ u.T
-    f = b_mat @ pinv
-    f = np.asarray(f.todense()) if sparse.issparse(f) else np.asarray(f)
-    # consistency check on the basis columns: F A b = b
-    bb = b_mat.toarray() if sparse.issparse(b_mat) else b_mat
-    resid = f @ (a_mat @ bb) - bb
-    worst = float(np.abs(resid).max())
+    # consistency on the basis columns: C A B = I_K, so F A b = b
+    worst = float(np.abs(pinv @ ab - np.eye(k)).max())
     if worst > 1e-8:
         raise SolverError(f"oblique consistency check failed: max residual {worst:.2e}")
-    # hashed only now, so rank-deficient draws skip it
-    fp = basis_fingerprint(basis) if isinstance(basis, SubspaceBasis) else ""
-    return ObliqueOperator(f, bb, fp)
+    return ObliqueOperator(pinv, b_mat)
 
 
 def oblique_coeffs(op: ObliqueOperator, y) -> np.ndarray:
-    """Coefficients B^T F y of the oblique reconstruction.
+    """Coefficients C y of the oblique reconstruction F y = B C y; F is never formed.
 
-    Erased entries enter as zeros; the operator itself is mask-agnostic.
+    C y equals B^T F y whenever B^T B = I, which holds for every SubspaceBasis;
+    for a non-orthonormal B, C y is still the coefficient vector of F y.
+    Erased entries enter as zeros; the map itself is mask-agnostic.
     """
     values = y.values if isinstance(y, Measurement) else np.asarray(y, dtype=np.float64)
-    if values.size != op.operator.shape[1]:
-        raise ValueError(f"expected {op.operator.shape[1]} measurements, got {values.size}")
-    return op.basis_matrix.T @ (op.operator @ values)
+    if values.size != op.coeff_map.shape[1]:
+        raise ValueError(f"expected {op.coeff_map.shape[1]} measurements, got {values.size}")
+    return op.coeff_map @ values
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +188,19 @@ class Estimator:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.kind == "shared-pooled":
+            want = ((_N_POOLED_FEATURES,), (1,))
+        else:  # weight (K, N), bias (K,)
+            w = self.weight.shape
+            want = (w, w[:1]) if len(w) == 2 else ("(K, N)", "(K,)")
+        if (self.weight.shape, self.bias.shape) != want:
+            raise ValueError(f"{self.kind} needs weight {want[0]} and bias {want[1]}, "
+                             f"got {self.weight.shape} and {self.bias.shape}")
 
     @staticmethod
     def zero_affine(basis: SubspaceBasis) -> "Estimator":
-        n = basis.grid.n_pixels
-        return Estimator("per-mesh-affine", np.zeros((basis.k, n)), np.zeros(basis.k),
-                         basis_fingerprint(basis))
+        return Estimator("per-mesh-affine", np.zeros((basis.k, basis.grid.n_pixels)),
+                         np.zeros(basis.k), basis.fingerprint)
 
     @staticmethod
     def zero_pooled() -> "Estimator":
@@ -238,10 +230,9 @@ def estimate_coeffs(est: Estimator, basis: SubspaceBasis, y_warm: Image) -> np.n
     if y_warm.grid != basis.grid:
         raise ValueError("warm-start grid does not match basis grid")
     if est.kind == "per-mesh-affine":
-        fp = basis_fingerprint(basis)
-        if est.fingerprint and est.fingerprint != fp:
+        if est.fingerprint and est.fingerprint != basis.fingerprint:
             raise ValueError(
-                f"estimator is bound to basis {est.fingerprint}, got {fp}")
+                f"estimator is bound to basis {est.fingerprint}, got {basis.fingerprint}")
         if est.weight.shape != (basis.k, basis.grid.n_pixels):
             raise ValueError(
                 f"estimator weight shape {est.weight.shape} does not match "
@@ -321,7 +312,7 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
         bt = basis.to_sparse().T.tocsr()
         tres = tmat - (bt @ xmat.T).T
         w, b, history = _ridge_fit(xmat, tres, cfg)
-        return Estimator(kind, bt.toarray() + w, b, basis_fingerprint(basis), history)
+        return Estimator(kind, bt.toarray() + w, b, basis.fingerprint, history)
     bases = basis.bases if isinstance(basis, StackedBasis) else [basis]
     rows, targets = [], []
     for x, warm in dataset:
@@ -392,6 +383,14 @@ def load_estimator(path) -> Estimator:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, expected {4 * n_params}")
     params = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise FormatError(f"{path}: parameters must be finite")
+    fingerprint = header.get("fingerprint", "")
+    if not isinstance(fingerprint, str):
+        raise FormatError(f"{path}: header field 'fingerprint' must be a string")
     w = params[: int(np.prod(w_shape))].reshape(w_shape)
     b = params[int(np.prod(w_shape)) :].reshape(b_shape)
-    return Estimator(header["kind"], w, b, header.get("fingerprint", ""))
+    try:
+        return Estimator(header["kind"], w, b, fingerprint)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

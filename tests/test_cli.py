@@ -294,6 +294,31 @@ def test_numeric_failure_exit_code(pipe, tmp_path):
                "--out", tmp_path / "a") == 4
 
 
+def test_oblique_consistency_failure_exits_4(pipe, tmp_path, inflated_svd):
+    assert run("estimate", "--backend", "oblique", "--meshes", pipe["meshes"],
+               "--grid-side", 12, "--measurements", pipe["meas"], "--sensors", 10,
+               "--out", tmp_path / "a") == 4
+
+
+def test_malformed_estimator_file_exits_3(pipe, tmp_path):
+    # a NaN parameter, a non-string fingerprint and a flattened weight each
+    # make a well-framed .est file that is not an estimator
+    path = pipe["est"] / "estimator_000.est"
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    nan_payload = np.array([np.nan], dtype="<f4").tobytes() + payload[4:]
+    flat = {"weight_shape": [int(np.prod(header["weight_shape"]))]}
+    for i, (fields, body) in enumerate([({}, nan_payload), ({"fingerprint": 123}, payload),
+                                        (flat, payload)]):
+        est_dir = tmp_path / f"est{i}"
+        shutil.copytree(pipe["est"], est_dir)
+        (est_dir / "estimator_000.est").write_bytes(
+            json.dumps({**header, **fields}).encode() + b"\n" + body)
+        assert run("estimate", "--backend", "learned", "--meshes", pipe["meshes"],
+                   "--grid-side", 12, "--warm", pipe["warm"], "--estimators", est_dir,
+                   "--out", tmp_path / f"q{i}") == 3, fields
+
+
 def test_learned_estimator_count_mismatch(pipe, tmp_path):
     partial = tmp_path / "partial-est"
     shutil.copytree(pipe["est"], partial)

@@ -1,16 +1,17 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meshtomo.core import FormatError, Grid, Image, Seed
-from meshtomo.estimate import (Estimator, TrainConfig, basis_fingerprint,
-                               build_oblique, estimate_coeffs, load_estimator,
-                               oblique_coeffs, oracle_coeffs, pooled_features,
-                               save_estimator, train_ensemble, train_estimator)
+from meshtomo.estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
+                               load_estimator, oblique_coeffs, oracle_coeffs,
+                               pooled_features, save_estimator, train_ensemble,
+                               train_estimator)
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from meshtomo.solve import nnls
+from meshtomo.solve import SolverError, nnls
 from meshtomo.tomo import Measurement, build_ray_matrix, forward, place_sensors
 
 
@@ -23,6 +24,20 @@ def find_identifiable(rm, grid, k, seed0, tries=200):
         except ValueError:
             continue
     raise RuntimeError("no identifiable mesh found")
+
+
+def acceptance_obliques(rm, grid, count):
+    """The first ``count`` identifiable meshes of the acceptance suite's mesh
+    stream (K=50, ``Seed(7100)``), each with its oblique operator."""
+    out, draw = [], 0
+    while len(out) < count:
+        basis = rasterize(mesh_with_k_triangles(50, Seed(7100).derive(draw)), grid)
+        draw += 1
+        try:
+            out.append((basis, build_oblique(rm, basis)))
+        except ValueError:
+            continue
+    return out
 
 
 def random_images(grid, count, seed):
@@ -130,6 +145,48 @@ def test_build_oblique_verdicts_match_rank_on_acceptance_draws():
             kept.append(draws)
         draws += 1
     assert draws == 341
+
+
+def test_oblique_operator_and_coeffs_match_dense_formula():
+    # F = B (A B)^+ formed as an eager dense product, and B^T (F y) as the
+    # coefficients: the kept map gives the same F bitwise and the same
+    # coefficients, without forming F for them
+    grid = Grid(32)
+    rm = build_ray_matrix(place_sensors(25), grid)
+    ys = [forward(rm, x) for x in random_images(grid, 3, 12)]
+    for basis, op in acceptance_obliques(rm, grid, 5):
+        assert op.coeff_map.shape == (basis.k, rm.matrix.shape[0])
+        b = basis.to_sparse()
+        u, s, vt = np.linalg.svd(np.asarray((rm.matrix @ b).todense()), full_matrices=False)
+        f = np.asarray(b @ ((vt.T / s) @ u.T))
+        for y in ys:
+            ref = b.T @ (f @ y.values)
+            assert np.linalg.norm(oblique_coeffs(op, y) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert "operator" not in vars(op)
+        assert np.array_equal(op.operator, f)
+
+
+def test_acceptance_oblique_operators_hold_under_10_mb():
+    # dense N x M operators and N x K bases held about 143 MB for these 50
+    grid = Grid(32)
+    rm = build_ray_matrix(place_sensors(25), grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops = [op for _, op in acceptance_obliques(rm, grid, 50)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ops) == 50
+    assert held < 10e6, held
+
+
+def test_build_oblique_consistency_failure_raises_solver_error(inflated_svd):
+    grid = Grid(12)
+    rm = build_ray_matrix(place_sensors(12), grid)
+    basis = rasterize(mesh_with_k_triangles(6, Seed(7600)), grid)
+    with pytest.raises(SolverError, match="oblique consistency check failed"):
+        build_oblique(rm, basis)
 
 
 def test_build_oblique_shape_mismatch():
@@ -319,7 +376,7 @@ def test_train_ensemble_per_mesh_and_deterministic():
     cfg = TrainConfig(epochs=15, batch_size=16, seed=Seed(42))
     ests = train_ensemble(dataset, stack, cfg)
     assert len(ests) == 3
-    assert [e.fingerprint for e in ests] == [basis_fingerprint(b) for b in stack.bases]
+    assert [e.fingerprint for e in ests] == [b.fingerprint for b in stack.bases]
     again = train_ensemble(dataset, stack, cfg)
     for e1, e2 in zip(ests, again):
         assert np.array_equal(e1.weight, e2.weight)
@@ -328,11 +385,11 @@ def test_train_ensemble_per_mesh_and_deterministic():
 def test_fingerprint_stability_and_distinctness():
     grid = Grid(10)
     mesh = mesh_with_k_triangles(7, Seed(50))
-    f1 = basis_fingerprint(rasterize(mesh, grid))
-    f2 = basis_fingerprint(rasterize(mesh, grid))
+    f1 = rasterize(mesh, grid).fingerprint
+    f2 = rasterize(mesh, grid).fingerprint
     assert f1 == f2
-    other_mesh = basis_fingerprint(rasterize(mesh_with_k_triangles(7, Seed(51)), grid))
-    other_grid = basis_fingerprint(rasterize(mesh, Grid(12)))
+    other_mesh = rasterize(mesh_with_k_triangles(7, Seed(51)), grid).fingerprint
+    other_grid = rasterize(mesh, Grid(12)).fingerprint
     assert len({f1, other_mesh, other_grid}) == 3
 
 
@@ -375,6 +432,28 @@ def test_load_estimator_rejects_malformed(tmp_path):
     badkind.write_bytes(data.replace(b"shared-pooled", b"shared-nonlin"))
     with pytest.raises(FormatError, match="kind"):
         load_estimator(badkind)
+
+    # well-framed files whose header or parameters do not make an estimator
+    affine = tmp_path / "affine.est"
+    save_estimator(Estimator.zero_affine(rasterize(mesh_with_k_triangles(3, Seed(63)),
+                                                   Grid(4))), affine)
+    cases = [(good, {}, 0, "finite"), (affine, {}, 5, "finite"),
+             (good, {"fingerprint": 123}, None, "fingerprint"),
+             (affine, {"weight_shape": [3 * 16]}, None, "weight"),
+             (affine, {"weight_shape": [16, 3]}, None, "weight"),
+             (good, {"weight_shape": [3], "bias_shape": [3]}, None, "weight"),
+             (good, {"weight_shape": [4], "bias_shape": [2]}, None, "weight")]
+    for i, (src, fields, nan_at, match) in enumerate(cases):
+        header, payload = src.read_bytes().split(b"\n", 1)
+        header = {**json.loads(header), **fields}
+        if nan_at is not None:
+            params = np.frombuffer(payload, dtype="<f4").copy()
+            params[nan_at] = np.nan
+            payload = params.tobytes()
+        bad = tmp_path / f"bad{i}.est"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match=match):
+            load_estimator(bad)
 
 
 def test_warm_start_pipeline_beats_zero_estimator():
