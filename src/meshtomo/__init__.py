@@ -22,8 +22,8 @@ from .kernel import (KernelEstimate, convolution_consistency, isotropy_check,
 from .mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
                    delaunay_violations, gaussian_subspace_projector, load_mesh,
                    mesh_with_k_triangles, rasterize, save_mesh)
-from .solve import (SolveOptions, SolveResult, SolverError, minnorm_solve,
-                    nnls, solve_reformulated, tv_direct)
+from .solve import (SolveOptions, SolveResult, SolverError, minnorm_prefixes,
+                    minnorm_solve, nnls, solve_reformulated, tv_direct)
 from .tomo import (Measurement, RayMatrix, SensorArray, add_gaussian_noise,
                    build_ray_matrix, erase, forward, load_measurement,
                    load_ray_matrix, place_sensors, save_measurement,
@@ -73,6 +73,7 @@ __all__ = [
     "mc_expected_recon",
     "mc_kernel_sweep",
     "mesh_with_k_triangles",
+    "minnorm_prefixes",
     "minnorm_solve",
     "nnls",
     "oblique_coeffs",

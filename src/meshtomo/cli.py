@@ -468,8 +468,12 @@ def _cmd_kernel_mc(cfg):
     save_image(est.mean_image, os.path.join(cfg["out"], "mean.f32raw"), "f32raw")
     save_image(est.mean_image, os.path.join(cfg["out"], "mean.pgm"), "pgm16")
     save_radial_profile(est.radial_profile, os.path.join(cfg["out"], "profile.csv"))
+    max_stderr = None
+    if est.stderr_image is not None:
+        save_image(est.stderr_image, os.path.join(cfg["out"], "stderr.f32raw"), "f32raw")
+        max_stderr = float(est.stderr_image.values.max())
     _write_manifest(cfg["out"], "kernel-mc", cfg,
-                    {"peak": float(est.mean_image.values.max())})
+                    {"peak": float(est.mean_image.values.max()), "max_stderr": max_stderr})
     print(f"kernel study (K={cfg['triangles']}, subspaces={cfg['subspaces']}, "
           f"T={cfg['trials']}) written to {cfg['out']}")
     return EXIT_OK

@@ -2,9 +2,11 @@
 
 Averaging the minimum-norm reconstruction over random meshes approximates the
 action of a local, isotropic smoothing kernel on the input image. The helpers
-here estimate that mean image, its radial profile for point inputs, and run
-the isotropy and shift/superposition consistency checks used to validate the
-kernel picture at desk scale.
+here estimate that mean image, its per-pixel standard error and its radial
+profile for point inputs, and run the isotropy and shift/superposition
+consistency checks used to validate the kernel picture at desk scale. A trial
+draws one stack of meshes and solves every requested mesh count on it from a
+single block factor of B^T B (:func:`meshtomo.solve.minnorm_prefixes`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .core import Grid, Image, Seed
 from .mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from .solve import SolverError, minnorm_solve
+from .solve import SolverError, minnorm_prefixes
 
 __all__ = [
     "ConvolutionReport",
@@ -47,7 +49,11 @@ class RadialBin:
 
 @dataclass
 class KernelEstimate:
-    """Mean reconstruction over random meshes, with optional radial profile."""
+    """Mean reconstruction over random meshes, with optional radial profile.
+
+    ``stderr_image`` is the per-pixel standard error of the mean over trials,
+    std(ddof=1) / sqrt(trials); None when trials < 2.
+    """
 
     grid: Grid
     mean_image: Image
@@ -55,6 +61,7 @@ class KernelEstimate:
     trials: int
     k: int
     lambda_count: int
+    stderr_image: Image = None
 
 
 def _single_pixel(x: Image):
@@ -113,7 +120,10 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
 
     Within one k, all cells share each trial's mesh sequence (cell L uses the
     first L meshes), implementing common random numbers: results match
-    :func:`mc_expected_recon` run cell by cell with the same seed.
+    :func:`mc_expected_recon` run cell by cell with the same seed. Each trial
+    solves every cell from one block factor of its stack
+    (:func:`minnorm_prefixes`). The per-pixel standard error is accumulated
+    alongside the mean by Welford's update.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -125,22 +135,32 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
     out = {}
     for k in k_values:
         acc = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
+        running = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
+        sq_dev = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
         for t in range(trials):
             stack = _trial_stack(x.grid, int(k), lam_sorted[-1], seed, t)
+            try:
+                sols = minnorm_prefixes(stack, stack.coeffs(x), lam_sorted)
+            except SolverError as exc:
+                raise SolverError(f"k={k}, trial {t}: {exc}") from exc
             for lam in lam_sorted:
-                sub = StackedBasis(stack.bases[:lam])
-                q = sub.coeffs(x)
-                try:
-                    acc[lam] += minnorm_solve(sub, q).values
-                except SolverError as exc:
-                    raise SolverError(f"k={k}, trial {t}: {exc}") from exc
+                v = sols[lam].values
+                acc[lam] += v
+                # Welford's update: the running mean moves towards v without
+                # passing it, so every term added to sq_dev is >= 0
+                delta = v - running[lam]
+                running[lam] += delta / (t + 1)
+                sq_dev[lam] += delta * (v - running[lam])
         for lam in lam_sorted:
             mean = Image(x.grid, acc[lam] / trials)
             profile = None
             if center is not None:
                 profile = _radial_profile(mean.as_matrix(), x.grid.side, center)
+            stderr = None
+            if trials > 1:
+                stderr = Image(x.grid, np.sqrt(sq_dev[lam] / ((trials - 1) * trials)))
             out[(int(k), lam)] = KernelEstimate(x.grid, mean, profile, trials,
-                                                int(k), lam)
+                                                int(k), lam, stderr)
     return out
 
 
@@ -334,8 +354,13 @@ def load_radial_profile(path) -> list:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 fields")
             try:
-                out.append(RadialBin(float(parts[0]), float(parts[1]),
-                                     float(parts[2]), int(parts[3])))
+                row = RadialBin(float(parts[0]), float(parts[1]),
+                                float(parts[2]), int(parts[3]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, (row.radius, row.mean, row.std))):
+                raise FormatError(f"{path}:{lineno}: non-finite field")
+            if row.radius < 0 or row.std < 0 or row.n < 1:
+                raise FormatError(f"{path}:{lineno}: need radius >= 0, std >= 0 and n >= 1")
+            out.append(row)
     return out

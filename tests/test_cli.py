@@ -164,6 +164,28 @@ def test_kernel_mc_outputs(pipe):
     assert profile[0].n == 1 and profile[0].radius == 0.0
     man = json.loads((pipe["kmc"] / "manifest.json").read_text())
     assert man["peak"] == pytest.approx(mean.values.max())
+    stderr = load_image(pipe["kmc"] / "stderr.f32raw")
+    assert stderr.grid.side == 12 and (stderr.values >= 0).all()
+    assert man["max_stderr"] == pytest.approx(stderr.values.max(), rel=1e-6)
+    assert man["max_stderr"] > 0
+
+
+def test_kernel_mc_reruns_identical_and_single_trial(tmp_path):
+    trees = []
+    for _ in range(2):
+        assert run("kernel-mc", "--triangles", 6, "--subspaces", 2, "--trials", 3,
+                   "--grid-side", 10, "--pixel", "5,4", "--seed", 8,
+                   "--out", tmp_path / "kmc") == 0
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / "kmc").iterdir()})
+    assert trees[0] == trees[1]
+    assert sorted(trees[0]) == ["manifest.json", "mean.f32raw", "mean.pgm",
+                                "profile.csv", "stderr.f32raw"]
+    assert run("kernel-mc", "--triangles", 6, "--subspaces", 2, "--trials", 1,
+               "--grid-side", 10, "--pixel", "center", "--seed", 8,
+               "--out", tmp_path / "one") == 0
+    assert not (tmp_path / "one" / "stderr.f32raw").exists()
+    man = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert man["max_stderr"] is None
 
 
 def test_gen_data_rerun_is_byte_identical(pipe, tmp_path):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from meshtomo.core import FormatError, Grid, Image, Seed
-from meshtomo.kernel import (KernelEstimate, RadialBin, _radial_profile,
+from meshtomo.kernel import (KernelEstimate, RadialBin, _radial_profile, _trial_stack,
                              convolution_consistency, isotropy_check,
                              load_radial_profile, mc_expected_recon,
                              mc_kernel_sweep, profile_half_width,
                              save_radial_profile)
+from meshtomo.mesh import StackedBasis
+from meshtomo.solve import minnorm_prefixes
 
 
 def pixel_image(grid, i, j, value=1.0):
@@ -74,6 +76,51 @@ def test_sweep_matches_standalone_runs():
         solo = mc_expected_recon(x, k, lam, 4, Seed(5))
         assert np.array_equal(est.mean_image.values, solo.mean_image.values)
         assert est.k == k and est.lambda_count == lam and est.trials == 4
+
+
+def test_trial_is_one_block_factor(monkeypatch):
+    # one trial of L meshes: exactly L eigh calls, each K x K for its mesh,
+    # and no stack Gram eigendecomposition
+    grid = Grid(16)
+    x = pixel_image(grid, 8, 8)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def no_gram(self):
+        raise AssertionError("the kernel trial built the stack's Gram factor")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(StackedBasis, "_gram_eig", property(no_gram))
+    mc_kernel_sweep(x, [12], [1, 3, 5], 1, Seed(15))
+    stack = _trial_stack(grid, 12, 5, Seed(15), 0)
+    assert calls == [(b.k, b.k) for b in stack.bases]
+
+
+def test_stderr_is_std_of_trial_images_over_root_t():
+    grid = Grid(12)
+    x = pixel_image(grid, 6, 5)
+    trials, lams = 7, [1, 3]
+    sweep = mc_kernel_sweep(x, [8], lams, trials, Seed(16))
+    per_trial = {lam: [] for lam in lams}
+    for t in range(trials):
+        stack = _trial_stack(grid, 8, lams[-1], Seed(16), t)
+        for lam, sol in minnorm_prefixes(stack, stack.coeffs(x), lams).items():
+            per_trial[lam].append(sol.values)
+    for lam in lams:
+        images = np.array(per_trial[lam])
+        est = sweep[(8, lam)]
+        ref = images.std(axis=0, ddof=1) / np.sqrt(trials)
+        assert np.abs(est.stderr_image.values - ref).max() <= 1e-12 * ref.max()
+        # the mean stays the ordered sum over trials divided by their count
+        total = np.zeros(grid.n_pixels)
+        for image in images:
+            total += image
+        assert np.array_equal(est.mean_image.values, total / trials)
+    assert mc_expected_recon(x, 8, 2, 1, Seed(16)).stderr_image is None
 
 
 def test_mass_preserved_by_minnorm_mean():
@@ -235,3 +282,9 @@ def test_radial_profile_rejects_malformed(tmp_path):
     bad_value.write_text("radius,mean,std,n\n0,one,0,1\n")
     with pytest.raises(FormatError):
         load_radial_profile(bad_value)
+    for row in ("0,nan,0,1", "1,0.5,inf,-3", "inf,0.5,0,1", "0,-inf,0,1",
+                "-1,0.5,0,1", "1,0.5,-0.1,2", "1,0.5,0.1,0", "1,0.5,0.1,-3"):
+        bad_row = tmp_path / "row.csv"
+        bad_row.write_text(f"radius,mean,std,n\n0,1,0,1\n{row}\n")
+        with pytest.raises(FormatError, match=":3:"):
+            load_radial_profile(bad_row)

@@ -8,8 +8,8 @@ from meshtomo import solve
 from meshtomo.core import Grid, Image, Seed
 from meshtomo.data import ShapesConfig, gen_shapes
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from meshtomo.solve import (SolveOptions, SolveResult, SolverError, _cgls, _chambolle_pock,
-                            _fista, minnorm_solve, nnls, power_norm,
+from meshtomo.solve import (SolveOptions, SolveResult, SolverError, _chambolle_pock,
+                            _fista, minnorm_prefixes, minnorm_solve, nnls, power_norm,
                             solve_reformulated, tv_direct)
 from meshtomo.tomo import Measurement, build_ray_matrix, erase, forward, place_sensors
 
@@ -188,8 +188,8 @@ def test_solve_reformulated_warm_start_override():
 
 def test_stack_gram_fixes_constant_image():
     # G = B B^T is a sum of L orthogonal projectors that all keep the constant
-    # image, so G 1 = L 1 and ||B|| = sqrt(L): the scale of the CGLS
-    # least-squares stop
+    # image, so G 1 = L 1 and ||B|| = sqrt(L): the scale of the block factor's
+    # eigenvalue cut in minnorm_prefixes
     grid = Grid(12)
     for ks in ([9], [8, 9, 10], [6, 7, 8, 9, 10, 11]):
         stack = make_stack(grid, ks, 200 + len(ks))
@@ -202,8 +202,7 @@ def test_stack_gram_fixes_constant_image():
 
 def test_recombination_warm_start_is_least_squares_optimum():
     # 12 meshes of 40 triangles on 256 pixels: B^T is rank-deficient, and
-    # perturbed coefficients leave its range. CGLS stopped only by its
-    # consistency test runs to its cap here and diverges far from the optimum.
+    # perturbed coefficients leave its range
     grid = Grid(16)
     stack = make_stack(grid, [40] * 12, 230)
     rng = Seed(21).rng()
@@ -217,12 +216,6 @@ def test_recombination_warm_start_is_least_squares_optimum():
     assert res.objectives[0] == pytest.approx(optimum, rel=1e-8)
     x = stack.minnorm_lstsq(q)
     rel = np.linalg.norm(bt @ x - q) / np.linalg.norm(q)
-    assert rel == pytest.approx(np.sqrt(optimum) / np.linalg.norm(q), rel=1e-8)
-    assert np.allclose(x, ref, atol=1e-6)
-    # minnorm_solve's CGLS reaches the same optimum by its least-squares stop
-    x, rel, reason = _cgls(stack.to_sparse(), q, 1e-8, 4 * stack.total_k + 100,
-                           np.sqrt(len(stack.bases)))
-    assert reason == "least_squares"
     assert rel == pytest.approx(np.sqrt(optimum) / np.linalg.norm(q), rel=1e-8)
     assert np.allclose(x, ref, atol=1e-6)
 
@@ -269,10 +262,12 @@ def test_stack_factor_built_once_and_only_by_recombination(monkeypatch):
     minnorm_solve(stack, q)
     stack.coeffs(Image(grid, np.ones(grid.n_pixels)))
     stack.to_sparse()
-    assert calls == [] and "_gram_eig" not in vars(stack)
+    # the block factor takes one K x K eigh per mesh and keeps nothing
+    blocks = [(b.k, b.k) for b in stack.bases]
+    assert calls == blocks and "_gram_eig" not in vars(stack)
     for _ in range(3):
         solve_reformulated(stack, q, SolveOptions(tv_weight=0.03, max_iters=5))
-    assert calls == [(grid.n_pixels, grid.n_pixels)]
+    assert calls == blocks + [(grid.n_pixels, grid.n_pixels)]
 
 
 def test_solve_reformulated_never_worse_than_warm_start():
@@ -290,7 +285,7 @@ def test_solve_reformulated_never_worse_than_warm_start():
             x = res.image.values
             obj = float(np.sum((bt @ x - q) ** 2)) + lam * tv_aniso(x, 16)
             assert res.objective == pytest.approx(obj, rel=1e-12)
-            # the trace starts at the warm start; CGLS reaches it to its tolerance
+            # the trace starts at the warm start, the stack's Gram solution
             assert res.objectives[0] == pytest.approx(warm_obj, rel=1e-6)
             assert res.objective <= res.objectives[0]
 
@@ -312,6 +307,57 @@ def test_minnorm_solve_consistent_and_minimal():
         # least the constants shared by all meshes) instead of inverting it
         ref = b @ (np.linalg.pinv(b.T @ b, rcond=1e-10, hermitian=True) @ q)
         assert np.allclose(sol.values, ref, atol=1e-6), (grid.side, ks)
+
+
+def _prefix_lstsq(stack, q, count):
+    """Dense least-squares oracle for the first ``count`` meshes of ``stack``."""
+    hi = sum(b.k for b in stack.bases[:count])
+    b = stack.to_sparse().toarray()[:, :hi]
+    return np.linalg.lstsq(b.T, q[:hi], rcond=None)[0]
+
+
+def test_minnorm_prefixes_match_lstsq():
+    # the kernel Monte Carlo's cells: K in {10, 20, 50}, L in {1, 2, 4, 8} on
+    # 32x32, every L from one factor of an 8-mesh stack
+    grid = Grid(32)
+    rng = Seed(17).rng()
+    for k in (10, 20, 50):
+        stack = make_stack(grid, [k] * 8, 3000 + k)
+        q = stack.coeffs(Image(grid, rng.standard_normal(grid.n_pixels)))
+        sols = minnorm_prefixes(stack, q, [8, 1, 4, 2, 4])
+        assert sorted(sols) == [1, 2, 4, 8]
+        for count, sol in sols.items():
+            ref = _prefix_lstsq(stack, q, count)
+            assert np.linalg.norm(sol.values - ref) <= 1e-10 * np.linalg.norm(ref), (k, count)
+    with pytest.raises(ValueError, match="mesh counts"):
+        minnorm_prefixes(stack, q, [0, 2])
+    with pytest.raises(ValueError, match="mesh counts"):
+        minnorm_prefixes(stack, q, [9])
+    with pytest.raises(ValueError, match="coefficients"):
+        minnorm_prefixes(stack, q[:-1], [1])
+
+
+def test_minnorm_prefixes_drop_a_repeated_mesh():
+    # meshes 2 and 4 repeat mesh 1: their whole Schur complements vanish and
+    # their blocks add no column
+    grid = Grid(16)
+    first, second = (rasterize(mesh_with_k_triangles(12, Seed(s)), grid) for s in (90, 91))
+    stack = StackedBasis([first, first, second, first])
+    q = stack.coeffs(Image(grid, Seed(18).rng().standard_normal(grid.n_pixels)))
+    sols = minnorm_prefixes(stack, q, [1, 2, 3, 4])
+    assert np.array_equal(sols[1].values, sols[2].values)
+    assert np.array_equal(sols[3].values, sols[4].values)
+    for count, sol in sols.items():
+        ref = _prefix_lstsq(stack, q, count)
+        assert np.linalg.norm(sol.values - ref) <= 1e-10 * np.linalg.norm(ref), count
+
+
+def test_minnorm_prefixes_zero_input_gives_zeros():
+    grid = Grid(12)
+    stack = make_stack(grid, [8, 9, 10], 92)
+    sols = minnorm_prefixes(stack, np.zeros(stack.total_k), [1, 3])
+    for sol in sols.values():
+        assert np.array_equal(sol.values, np.zeros(grid.n_pixels))
 
 
 def test_minnorm_solve_linear_in_q():
