@@ -424,8 +424,14 @@ def _cmd_reconstruct(cfg):
                 raise FormatError(f"{cfg['coeffs']}: image {i} has coefficient files "
                                   f"for meshes {sorted(per_mesh)}, expected "
                                   f"0..{len(bases) - 1}")
-            q = np.concatenate([load_measurement(per_mesh[lam]).values
-                                for lam in range(len(bases))])
+            q = []
+            for lam, basis in enumerate(bases):
+                values = load_measurement(per_mesh[lam]).values
+                if values.size != basis.k:
+                    raise FormatError(f"{per_mesh[lam]}: expected {basis.k} coefficients "
+                                      f"for mesh {lam}, got {values.size}")
+                q.append(values)
+            q = np.concatenate(q)
             res = solve_reformulated(stack, q, opts)
             save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"),
                        "f32raw")

@@ -222,6 +222,8 @@ def load_dataset(path):
     files = man.get("files")
     if not isinstance(files, list) or not files:
         raise FormatError(f"{man_path}: missing or empty 'files' list")
+    # the manifest's side, when present, else the first image's
+    side = man.get("side")
     images = []
     for name in files:
         if not (isinstance(name, str) and name == os.path.basename(name)):
@@ -229,5 +231,10 @@ def load_dataset(path):
         fpath = os.path.join(path, name)
         if not os.path.isfile(fpath):
             raise FileNotFoundError(fpath)
-        images.append(load_image(fpath))
+        img = load_image(fpath)
+        if side is None:
+            side = img.grid.side
+        if img.grid.side != side:
+            raise FormatError(f"{fpath}: image side {img.grid.side}, dataset side {side}")
+        images.append(img)
     return images, man

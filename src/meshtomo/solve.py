@@ -32,6 +32,9 @@ __all__ = [
 _POWER_ITERS = 20
 _POWER_TOL = 1e-6
 _POWER_SEED = Seed(0x5EED)
+# every iterate is clipped to this box: every phantom's values lie in it
+_BOX = (0.0, 1.0)
+_MINNORM_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -44,12 +47,11 @@ class SolveOptions:
 
     tol is a relative objective-change threshold: iteration stops once the
     best objective fails to improve by tol * max(1, |best|) over a short
-    window. box is an inclusive (lo, hi) constraint or None for unconstrained.
+    window. Every iterate is clipped to the box [0, 1].
     """
 
     max_iters: int = 500
     tol: float = 1e-9
-    box: tuple = (0.0, 1.0)
     tv_weight: float = 0.0
 
     def __post_init__(self):
@@ -57,11 +59,6 @@ class SolveOptions:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.tol >= 0):
             raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.box is not None:
-            lo, hi = self.box
-            if not (lo < hi):
-                raise ValueError(f"box must satisfy lo < hi, got {self.box}")
-            self.box = (float(lo), float(hi))
         if not (self.tv_weight >= 0):
             raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
 
@@ -75,27 +72,27 @@ class SolveResult:
     objectives: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def power_norm(apply_normal, n: int, iters: int = _POWER_ITERS, tol: float = _POWER_TOL) -> float:
+def power_norm(apply_normal, n: int) -> float:
     """Largest eigenvalue of an SPD operator by power iteration (fixed start)."""
     v = _POWER_SEED.rng().standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = apply_normal(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         new_lam = float(v @ w)
         v = w / nw
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
+        if abs(new_lam - lam) <= _POWER_TOL * max(abs(new_lam), 1.0):
             lam = new_lam
             break
         lam = new_lam
     return abs(lam)
 
 
-def _coerce_system(a, y, drop_erased):
-    """Normalize (operator, data) inputs to (matrix, values, grid)."""
+def _coerce_system(a, y):
+    """Normalize (operator, data) inputs to (A, A^T, values, grid), erased rows dropped."""
     if isinstance(a, RayMatrix):
         mat, grid = a.matrix, a.grid
     else:
@@ -112,37 +109,65 @@ def _coerce_system(a, y, drop_erased):
         mask = np.zeros(values.size, dtype=bool)
     if values.size != mat.shape[0]:
         raise ValueError(f"operator has {mat.shape[0]} rows but y has {values.size}")
-    if drop_erased and mask.any():
-        keep = ~mask
-        mat = mat[keep] if sparse.issparse(mat) else mat[keep, :]
-        values = values[keep]
-    return mat, values, grid
+    if mask.any():
+        mat, values = mat[~mask], values[~mask]
+    mat_t = mat.T if sparse.issparse(mat) else np.ascontiguousarray(mat.T)
+    return mat, mat_t, values, grid
 
 
-def _clip(values, box):
-    if box is None:
-        return values
-    return np.clip(values, box[0], box[1])
+def _finite(obj, it):
+    """``obj``, or :class:`SolverError` when it is not finite."""
+    if not np.isfinite(obj):
+        raise SolverError(f"objective diverged (non-finite) at iteration {it}")
+    return obj
 
 
-def nnls(a, y, opts: SolveOptions = None, *, drop_erased: bool = True,
-         return_info: bool = False):
+class _Tracker:
+    """Stop rule of an iterative solve: objective trace, best iterate, stall count.
+
+    :meth:`step` returns True, and the solve counts as converged, once
+    ``window`` iterations in a row fail to beat the best objective by
+    tol * max(1, |best|). The result is the iterate of lowest objective.
+    """
+
+    def __init__(self, grid, x, obj, tol, window):
+        self.grid, self.tol, self.window = grid, tol, window
+        self.trace = [obj]
+        self.best_obj, self.best_x = obj, x.copy()
+        self.stall = self.iterations = 0
+        self.converged = False
+
+    def step(self, it, x, obj):
+        self.iterations = it
+        self.trace.append(obj)
+        if obj < self.best_obj - self.tol * max(1.0, abs(self.best_obj)):
+            self.stall = 0
+        else:
+            self.stall += 1
+        if obj < self.best_obj:
+            self.best_obj, self.best_x = obj, x.copy()
+        self.converged = self.stall >= self.window
+        return self.converged
+
+    def result(self):
+        return SolveResult(Image(self.grid, self.best_x), self.best_obj, self.converged,
+                           self.iterations, np.array(self.trace))
+
+
+def nnls(a, y, opts: SolveOptions = None, *, return_info: bool = False):
     """Box-constrained least squares min 0.5 ||A x - y||^2 via FISTA with restart.
 
     ``a`` may be a RayMatrix or any (sparse) matrix; ``y`` a Measurement or a
-    vector. Rows flagged erased are dropped before solving unless
-    ``drop_erased`` is False (then their zeros are fit like data). The default
-    box is [0, 1].
+    vector. Rows flagged erased are always dropped before solving. Every
+    iterate is clipped to [0, 1].
     """
     opts = opts or SolveOptions()
-    mat, target, grid = _coerce_system(a, y, drop_erased)
-    mat_t = mat.T if sparse.issparse(mat) else mat.T.copy()
-    res = _fista(mat, mat_t, target, grid, opts)
+    res = _fista(*_coerce_system(a, y), opts)
     return (res.image, res) if return_info else res.image
 
 
 def _fista(mat, mat_t, target, grid, opts):
-    """FISTA with restart on min 0.5 ||mat x - target||^2 + box, from the clipped zero.
+    """FISTA with restart on min 0.5 ||mat x - target||^2 over [0, 1], from zero.
 
     An iteration applies ``mat_t`` once and ``mat`` once, to the new iterate;
     A z for the momentum point z = x1 + beta (x1 - x0) is taken by linearity
@@ -158,47 +183,30 @@ def _fista(mat, mat_t, target, grid, opts):
     def half_sq(r):
         return 0.5 * float(r @ r)
 
-    x = _clip(np.zeros(grid.n_pixels), opts.box)
+    x = np.zeros(grid.n_pixels)
     ax = mat @ x
     z, az = x, ax
     t = 1.0
     obj = half_sq(ax - target)
-    trace = [obj]
-    best_obj, best_x = obj, x.copy()
-    stall = 0
-    it = 0
-    converged = False
+    track = _Tracker(grid, x, obj, opts.tol, window=10)
     for it in range(1, opts.max_iters + 1):
-        x_new = _clip(z - step * (mat_t @ (az - target)), opts.box)
+        x_new = np.clip(z - step * (mat_t @ (az - target)), *_BOX)
         ax_new = mat @ x_new
-        obj_new = half_sq(ax_new - target)
-        if not np.isfinite(obj_new):
-            raise SolverError(f"objective diverged (non-finite) at iteration {it}")
+        obj_new = _finite(half_sq(ax_new - target), it)
         if obj_new > obj:
             # restart the momentum sequence from the last accepted iterate
             t = 1.0
-            x_new = _clip(x - step * (mat_t @ (ax - target)), opts.box)
+            x_new = np.clip(x - step * (mat_t @ (ax - target)), *_BOX)
             ax_new = mat @ x_new
-            obj_new = half_sq(ax_new - target)
-            if not np.isfinite(obj_new):
-                raise SolverError(f"objective diverged (non-finite) at iteration {it}")
+            obj_new = _finite(half_sq(ax_new - target), it)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         z = x_new + beta * (x_new - x)
         az = ax_new + beta * (ax_new - ax)
         x, ax, t, obj = x_new, ax_new, t_new, obj_new
-        trace.append(obj)
-        if obj < best_obj - opts.tol * max(1.0, abs(best_obj)):
-            best_obj, best_x = obj, x.copy()
-            stall = 0
-        else:
-            if obj < best_obj:
-                best_obj, best_x = obj, x.copy()
-            stall += 1
-            if stall >= 10:
-                converged = True
-                break
-    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace))
+        if track.step(it, x, obj):
+            break
+    return track.result()
 
 
 def _grad(v, side):
@@ -218,7 +226,7 @@ def _div_adjoint(gh, gv, side):
 
 
 def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
-    """Primal-dual solve of min_x ||data_mat x - target||^2 + w * TV(x) + box.
+    """Primal-dual solve of min_x ||data_mat x - target||^2 + w * TV(x) over [0, 1].
 
     An iteration applies ``data_t`` once and ``data_mat`` once, to the new
     iterate, and takes one gradient of it. The products and gradient of the
@@ -248,11 +256,7 @@ def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
     zh = np.zeros((side, side - 1))
     zv = np.zeros((side - 1, side))
     obj = objective(ax, gh, gv)
-    trace = [obj]
-    best_obj, best_x = obj, x.copy()
-    stall = 0
-    converged = False
-    it = 0
+    track = _Tracker(grid, x, obj, opts.tol, window=25)
     for it in range(1, opts.max_iters + 1):
         z1 = (z1 + sigma * (axbar - target)) / (1.0 + 0.5 * sigma)
         if w > 0.0:
@@ -261,28 +265,16 @@ def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
             div = _div_adjoint(zh, zv, side).ravel()
         else:
             div = 0.0
-        x_new = _clip(x - tau * (data_t @ z1 + div), opts.box)
+        x_new = np.clip(x - tau * (data_t @ z1 + div), *_BOX)
         ax_new = data_mat @ x_new
         gh_new, gv_new = _grad(x_new, side)
         axbar = 2.0 * ax_new - ax
         ghbar = 2.0 * gh_new - gh
         gvbar = 2.0 * gv_new - gv
         x, ax, gh, gv = x_new, ax_new, gh_new, gv_new
-        obj = objective(ax, gh, gv)
-        if not np.isfinite(obj):
-            raise SolverError(f"objective diverged (non-finite) at iteration {it}")
-        trace.append(obj)
-        if obj < best_obj - opts.tol * max(1.0, abs(best_obj)):
-            best_obj, best_x = obj, x.copy()
-            stall = 0
-        else:
-            if obj < best_obj:
-                best_obj, best_x = obj, x.copy()
-            stall += 1
-            if stall >= 25:
-                converged = True
-                break
-    return SolveResult(Image(grid, best_x), best_obj, converged, it, np.array(trace))
+        if track.step(it, x, _finite(objective(ax, gh, gv), it)):
+            break
+    return track.result()
 
 
 def _as_stack(basis):
@@ -293,62 +285,50 @@ def _as_stack(basis):
     raise ValueError(f"expected a basis or stacked basis, got {type(basis).__name__}")
 
 
-def solve_reformulated(basis, q, opts: SolveOptions = None, *, x0: Image = None) -> SolveResult:
+def solve_reformulated(basis, q, opts: SolveOptions = None) -> SolveResult:
     """Recombine subspace coefficients into an image.
 
-    Solves min_x ||q - B^T x||^2 + tv_weight * TV(x) subject to the box, by
-    Chambolle-Pock, warm started from the (clipped) minimum-norm least-squares
-    solution pinv(B^T) q, consistent or not. Every image recombined on one
-    stack shares B, so the start comes from the stack's Gram
-    eigendecomposition (:meth:`StackedBasis.minnorm_lstsq`): its one-off
-    O(m^3) cost, m = min(N, sum(K)), is paid by the first call on a stack
-    and each later start costs two dense products. The returned image is the
-    iterate of lowest objective. TV is anisotropic: the sum of absolute
-    horizontal and vertical neighbor differences.
+    Solves min_x ||q - B^T x||^2 + tv_weight * TV(x) over x in [0, 1] (every
+    iterate is clipped), by Chambolle-Pock, warm started from the clipped
+    minimum-norm least-squares solution pinv(B^T) q, consistent or not. Every
+    image recombined on one stack shares B, so the start comes from the
+    stack's Gram eigendecomposition (:meth:`StackedBasis.minnorm_lstsq`): its
+    one-off O(m^3) cost, m = min(N, sum(K)), is paid by the first call on a
+    stack and each later start costs two dense products. The returned image
+    is the iterate of lowest objective. TV is anisotropic: the sum of
+    absolute horizontal and vertical neighbor differences.
     """
     stack = _as_stack(basis)
     opts = opts or SolveOptions()
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     if q.size != stack.total_k:
         raise ValueError(f"expected {stack.total_k} coefficients, got {q.size}")
-    if x0 is None:
-        start = _clip(stack.minnorm_lstsq(q), opts.box)
-    else:
-        if x0.grid != stack.grid:
-            raise ValueError("warm-start grid does not match basis grid")
-        start = _clip(x0.values.copy(), opts.box)
     bs, bt = stack.csr_pair
-    return _chambolle_pock(bt, bs, q, stack.grid, opts, start)
+    return _chambolle_pock(bt, bs, q, stack.grid, opts,
+                           np.clip(stack.minnorm_lstsq(q), *_BOX))
 
 
-def tv_direct(a, y, opts: SolveOptions = None, *, drop_erased: bool = True,
-              x0: Image = None) -> SolveResult:
-    """TV-regularized direct inversion min ||A x - y||^2 + tv_weight * TV(x) + box.
+def tv_direct(a, y, opts: SolveOptions = None) -> SolveResult:
+    """TV-regularized direct inversion min ||A x - y||^2 + tv_weight * TV(x) over [0, 1].
 
     Same Chambolle-Pock machinery as :func:`solve_reformulated`, warm started
-    from the box-constrained least-squares solution. With tv_weight = 0 this
-    reduces to :func:`nnls` up to tolerance.
+    from the box-constrained least-squares solution of :func:`nnls`. Rows
+    flagged erased are always dropped, and every iterate is clipped to
+    [0, 1]. With tv_weight = 0 this reduces to :func:`nnls` up to tolerance.
     """
     opts = opts or SolveOptions()
-    mat, target, grid = _coerce_system(a, y, drop_erased)
+    mat, mat_t, target, grid = _coerce_system(a, y)
     if opts.tv_weight == 0.0:
         # The problem is plain box-constrained least squares.
         img, info = nnls(mat, target, opts, return_info=True)
         return SolveResult(img, 2.0 * info.objective, info.converged,
                            info.iterations, 2.0 * info.objectives)
-    if x0 is None:
-        warm_opts = SolveOptions(max_iters=max(200, opts.max_iters), tol=opts.tol,
-                                 box=opts.box)
-        start = nnls(mat, target, warm_opts).values
-    else:
-        if x0.grid != grid:
-            raise ValueError("warm-start grid does not match data grid")
-        start = _clip(x0.values.copy(), opts.box)
-    mat_t = mat.T if sparse.issparse(mat) else np.ascontiguousarray(mat.T)
+    warm_opts = SolveOptions(max_iters=max(200, opts.max_iters), tol=opts.tol)
+    start = nnls(mat, target, warm_opts).values
     return _chambolle_pock(mat, mat_t, target, grid, opts, start)
 
 
-def minnorm_prefixes(basis, q, counts, tol: float = 1e-8) -> dict:
+def minnorm_prefixes(basis, q, counts) -> dict:
     """Minimum-norm solutions of B_L^T x = q_L for the first L meshes, each L in ``counts``.
 
     Returns {L: Image}. One block factor of M = B^T B serves every L. Mesh j
@@ -365,7 +345,7 @@ def minnorm_prefixes(basis, q, counts, tol: float = 1e-8) -> dict:
     Cost: one sparse product for M, one K x K ``eigh`` per mesh and
     O(sum(K)^2 r) dense flops, with r <= min(N, sum(K)) kept columns; memory
     is M and T, O(sum(K)^2) floats. Raises :class:`SolverError` when
-    ||B_L^T x - q_L|| > tol ||q_L||: q_L is not in range(B_L^T).
+    ||B_L^T x - q_L|| > 1e-8 ||q_L||: q_L is not in range(B_L^T).
     """
     stack = _as_stack(basis)
     q = np.asarray(q, dtype=np.float64).reshape(-1)
@@ -394,21 +374,21 @@ def minnorm_prefixes(basis, q, counts, tol: float = 1e-8) -> dict:
         if j in counts:
             x = b @ y
             res = np.linalg.norm((bt @ x)[:hi] - q[:hi])
-            if res > tol * np.linalg.norm(q[:hi]):
+            if res > _MINNORM_TOL * np.linalg.norm(q[:hi]):
                 raise SolverError(
                     f"relative residual {res / np.linalg.norm(q[:hi]):.3e} exceeds tol "
-                    f"{tol:.1e} at {j} meshes; the coefficient vector is inconsistent")
+                    f"{_MINNORM_TOL:.1e} at {j} meshes; the coefficient vector is inconsistent")
             out[j] = Image(stack.grid, x)
     return out
 
 
-def minnorm_solve(basis, q, tol: float = 1e-8) -> Image:
+def minnorm_solve(basis, q) -> Image:
     """Minimum-norm solution of B^T x = q: the whole-stack case of :func:`minnorm_prefixes`.
 
     Raises :class:`SolverError` when q is inconsistent (relative residual above
-    ``tol``). Unlike :func:`solve_reformulated`, this does not keep the stack's
+    1e-8). Unlike :func:`solve_reformulated`, this does not keep the stack's
     Gram eigendecomposition: the block factor costs one K x K ``eigh`` per
     mesh and is not kept.
     """
     stack = _as_stack(basis)
-    return minnorm_prefixes(stack, q, [len(stack.bases)], tol)[len(stack.bases)]
+    return minnorm_prefixes(stack, q, [len(stack.bases)])[len(stack.bases)]

@@ -9,7 +9,7 @@ import pytest
 
 from meshtomo import cli
 from meshtomo.cli import main
-from meshtomo.core import load_image
+from meshtomo.core import Grid, Image, load_image, save_image
 from meshtomo.data import load_dataset, output_snr
 from meshtomo.kernel import load_radial_profile
 from meshtomo.tomo import load_measurement
@@ -285,7 +285,7 @@ def test_config_error_exit_codes(pipe, tmp_path):
                "--out", tmp_path / "j") == 2
 
 
-def test_missing_input_exit_codes(pipe, tmp_path):
+def test_missing_input_exit_codes(pipe, tmp_path, capsys):
     assert run("forward", "--data", tmp_path / "ghost", "--sensors", 10,
                "--out", tmp_path / "a") == 3
     empty = tmp_path / "empty"
@@ -300,6 +300,21 @@ def test_missing_input_exit_codes(pipe, tmp_path):
     assert run("reconstruct", "--method", "recombine", "--coeffs", broken,
                "--meshes", pipe["meshes"], "--grid-side", 12,
                "--out", tmp_path / "d") == 3
+    # one coefficient moved from mesh 1's file to mesh 0's keeps the total;
+    # one dropped shortens it: each file is checked against its mesh's K
+    for i, move in enumerate((True, False)):
+        shifted = tmp_path / f"shifted-q{i}"
+        shutil.copytree(pipe["q_oracle"], shifted)
+        first, second = shifted / "q_00000_000.csv", shifted / "q_00000_001.csv"
+        lines = second.read_text().splitlines(keepends=True)
+        second.write_text("".join(lines[:-1]))
+        if move:
+            first.write_text(first.read_text() + lines[-1])
+        assert run("reconstruct", "--method", "recombine", "--coeffs", shifted,
+                   "--meshes", pipe["meshes"], "--grid-side", 12,
+                   "--out", tmp_path / f"s{i}") == 3
+        bad = first if move else second
+        assert f"{bad}: expected 8 coefficients for mesh {int(not move)}" in capsys.readouterr().err
     half = tmp_path / "half-mesh"
     half.mkdir()
     (half / "mesh_000.json").write_text(json.dumps(
@@ -390,6 +405,22 @@ def test_forward_on_malformed_dataset_manifest_exits_3(pipe, tmp_path):
     shutil.copytree(pipe["data"], bad)
     (bad / "manifest.json").write_text(json.dumps(["00000.f32raw"]))
     assert run("forward", "--data", bad, "--sensors", 10, "--out", tmp_path / "a") == 3
+
+
+def test_forward_on_dataset_of_mixed_sides_exits_3(pipe, tmp_path, capsys):
+    # one 8x8 image among 12x12 ones, with and without the manifest's side;
+    # then every image 8x8 against the manifest's side 12
+    man = json.loads((pipe["data"] / "manifest.json").read_text())
+    no_side = {k: v for k, v in man.items() if k != "side"}
+    for i, (manifest, small) in enumerate(((man, ["00003"]), (no_side, ["00003"]),
+                                           (man, [f"{j:05d}" for j in range(6)]))):
+        bad = tmp_path / f"mixed{i}"
+        shutil.copytree(pipe["data"], bad)
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        for stem in small:
+            save_image(Image.zeros(Grid(8)), bad / f"{stem}.f32raw", "f32raw")
+        assert run("forward", "--data", bad, "--sensors", 10, "--out", tmp_path / "a") == 3
+        assert f"{small[0]}.f32raw: image side 8, dataset side 12" in capsys.readouterr().err
 
 
 def test_train_without_validation_writes_strict_json(pipe, tmp_path):
