@@ -303,16 +303,24 @@ def _cmd_corrupt(cfg):
     return EXIT_OK
 
 
+def _solve_record(results):
+    """Manifest fields of a command's solves: count, per-image iterations and stops."""
+    return {"count": len(results), "iterations": [r.iterations for r in results],
+            "converged": [r.converged for r in results]}
+
+
 def _cmd_nnls(cfg):
     _require_dir(cfg["measurements"], "measurements")
     paths = _listed(cfg["measurements"], ".csv")
     rm = build_ray_matrix(place_sensors(cfg["sensors"]), Grid(cfg["grid_side"]))
     opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"])
     os.makedirs(cfg["out"], exist_ok=True)
+    results = []
     for i, path in enumerate(paths):
-        img = nnls(rm, load_measurement(path), opts)
+        img, info = nnls(rm, load_measurement(path), opts, return_info=True)
         save_image(img, os.path.join(cfg["out"], f"warm_{i:05d}.f32raw"), "f32raw")
-    _write_manifest(cfg["out"], "nnls", cfg, {"count": len(paths)})
+        results.append(info)
+    _write_manifest(cfg["out"], "nnls", cfg, _solve_record(results))
     print(f"solved {len(paths)} warm starts to {cfg['out']}")
     return EXIT_OK
 
@@ -403,6 +411,7 @@ def _cmd_reconstruct(cfg):
     opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"],
                         tv_weight=cfg["tv_weight"])
     os.makedirs(cfg["out"], exist_ok=True)
+    results = []
     if cfg["method"] == "recombine":
         _require_dir(cfg["coeffs"], "coeffs")
         _require_dir(cfg["meshes"], "meshes")
@@ -417,7 +426,6 @@ def _cmd_reconstruct(cfg):
                 by_image.setdefault(int(img_id), {})[int(lam_id)] = path
             except ValueError:
                 raise FormatError(f"{path}: expected name q_IIIII_LLL.csv") from None
-        count = 0
         for i in sorted(by_image):
             per_mesh = by_image[i]
             if sorted(per_mesh) != list(range(len(bases))):
@@ -435,7 +443,7 @@ def _cmd_reconstruct(cfg):
             res = solve_reformulated(stack, q, opts)
             save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"),
                        "f32raw")
-            count += 1
+            results.append(res)
     elif cfg["method"] == "tv-direct":
         if cfg["sensors"] is None:
             raise ConfigError("missing required field 'sensors' for method=tv-direct")
@@ -446,12 +454,12 @@ def _cmd_reconstruct(cfg):
             res = tv_direct(rm, load_measurement(path), opts)
             save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"),
                        "f32raw")
-        count = len(paths)
+            results.append(res)
     else:
         raise ConfigError(f"field 'method': expected 'recombine' or 'tv-direct', "
                           f"got {cfg['method']!r}")
-    _write_manifest(cfg["out"], "reconstruct", cfg, {"count": count})
-    print(f"reconstructed {count} images ({cfg['method']}) to {cfg['out']}")
+    _write_manifest(cfg["out"], "reconstruct", cfg, _solve_record(results))
+    print(f"reconstructed {len(results)} images ({cfg['method']}) to {cfg['out']}")
     return EXIT_OK
 
 

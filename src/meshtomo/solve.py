@@ -47,7 +47,8 @@ class SolveOptions:
 
     tol is a relative objective-change threshold: iteration stops once the
     best objective fails to improve by tol * max(1, |best|) over a short
-    window. Every iterate is clipped to the box [0, 1].
+    window. Every iterate is clipped to the box [0, 1]. max_iters must be a
+    whole number >= 1, tol and tv_weight finite and >= 0 (else ValueError).
     """
 
     max_iters: int = 500
@@ -55,12 +56,14 @@ class SolveOptions:
     tv_weight: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.tol >= 0):
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if not (self.tv_weight >= 0):
-            raise ValueError(f"tv_weight must be >= 0, got {self.tv_weight}")
+        if (isinstance(self.max_iters, bool) or not float(self.max_iters).is_integer()
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = int(self.max_iters)
+        for name in ("tol", "tv_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -209,70 +212,60 @@ def _fista(mat, mat_t, target, grid, opts):
     return track.result()
 
 
-def _grad(v, side):
-    """Forward differences of a flat image: (horizontal, vertical) pair."""
-    v2 = v.reshape(side, side)
-    return v2[:, 1:] - v2[:, :-1], v2[1:, :] - v2[:-1, :]
+def _stacked_operator(data_mat, side):
+    """K = [data_mat; D] and K^T as CSR, D the forward differences of a side x side image.
+
+    Row r of D is -1 at pixel left[r] and +1 at right[r]: the horizontal pairs
+    in row-major order, then the vertical ones, so D v is bitwise ``np.diff``
+    along each axis ((-a) + b rounds as b - a). D is built as CSR so that
+    ``sparse.vstack`` joins CSR blocks without a COO round trip.
+    """
+    pix = np.arange(side * side).reshape(side, side)
+    left = np.concatenate([pix[:, :-1].ravel(), pix[:-1, :].ravel()])
+    right = np.concatenate([pix[:, 1:].ravel(), pix[1:, :].ravel()])
+    d = sparse.csr_matrix((np.tile([-1.0, 1.0], left.size), np.column_stack([left, right]).ravel(),
+                           np.arange(0, 2 * left.size + 1, 2)), shape=(left.size, side * side))
+    k = sparse.vstack([data_mat, d], format="csr")
+    return k, k.T.tocsr()
 
 
-def _div_adjoint(gh, gv, side):
-    """Adjoint of :func:`_grad`: maps a dual pair back to an image."""
-    out = np.zeros((side, side))
-    out[:, :-1] -= gh
-    out[:, 1:] += gh
-    out[:-1, :] -= gv
-    out[1:, :] += gv
-    return out
-
-
-def _chambolle_pock(data_mat, data_t, target, grid, opts, x0):
+def _chambolle_pock(data_mat, target, grid, opts, x0):
     """Primal-dual solve of min_x ||data_mat x - target||^2 + w * TV(x) over [0, 1].
 
-    An iteration applies ``data_t`` once and ``data_mat`` once, to the new
-    iterate, and takes one gradient of it. The products and gradient of the
-    iterate give its objective, and, since the extrapolated point
-    xbar = 2 x1 - x0 is not clipped, A xbar and grad xbar by linearity for the
-    next dual step.
+    Runs on K = [data_mat; D] (:func:`_stacked_operator`) with one dual vector
+    z over its rows: the data block z[:m] takes the proximal step of the
+    squared residual, the TV block z[m:] is clipped to [-w, w] (held at 0 when
+    w = 0). An iteration applies K^T once and K once, to the new iterate. The
+    kept K x - [target; 0] gives the objective and, since xbar = 2 x1 - x0 is
+    not clipped, K xbar - [target; 0] by linearity. Steps: 0.99 / ||K||.
     """
-    side = grid.side
-    n = grid.n_pixels
+    k, kt = _stacked_operator(data_mat, grid.side)
+    m = data_mat.shape[0]
+    n_h = grid.side * (grid.side - 1)  # horizontal difference rows
     w = opts.tv_weight
-
-    def normal_op(v):
-        return data_t @ (data_mat @ v) + _div_adjoint(*_grad(v, side), side).ravel()
-
-    lip = math.sqrt(max(power_norm(normal_op, n), 1e-30))
+    lip = math.sqrt(max(power_norm(lambda v: kt @ (k @ v), grid.n_pixels), 1e-30))
     sigma = tau = 0.99 / lip
+    shift = np.concatenate([target, np.zeros(k.shape[0] - m)])
 
-    def objective(ax, gh, gv):
-        r = ax - target
-        return float(r @ r) + w * float(np.abs(gh).sum() + np.abs(gv).sum())
+    def objective(kr):
+        tv = np.abs(kr[m:])
+        return float(kr[:m] @ kr[:m]) + w * float(tv[:n_h].sum() + tv[n_h:].sum())
 
     x = x0.copy()
-    ax = data_mat @ x
-    gh, gv = _grad(x, side)
-    axbar, ghbar, gvbar = ax, gh, gv
-    z1 = 2.0 * (ax - target)
-    zh = np.zeros((side, side - 1))
-    zv = np.zeros((side - 1, side))
-    obj = objective(ax, gh, gv)
-    track = _Tracker(grid, x, obj, opts.tol, window=25)
+    kr = krbar = k @ x - shift  # K x - [target; 0]: the residual, then D x
+    z = np.zeros(k.shape[0])
+    z_data, z_tv = z[:m], z[m:]
+    z_data += 2.0 * kr[:m]
+    track = _Tracker(grid, x, objective(kr), opts.tol, window=25)
     for it in range(1, opts.max_iters + 1):
-        z1 = (z1 + sigma * (axbar - target)) / (1.0 + 0.5 * sigma)
-        if w > 0.0:
-            zh = np.clip(zh + sigma * ghbar, -w, w)
-            zv = np.clip(zv + sigma * gvbar, -w, w)
-            div = _div_adjoint(zh, zv, side).ravel()
-        else:
-            div = 0.0
-        x_new = np.clip(x - tau * (data_t @ z1 + div), *_BOX)
-        ax_new = data_mat @ x_new
-        gh_new, gv_new = _grad(x_new, side)
-        axbar = 2.0 * ax_new - ax
-        ghbar = 2.0 * gh_new - gh
-        gvbar = 2.0 * gv_new - gv
-        x, ax, gh, gv = x_new, ax_new, gh_new, gv_new
-        if track.step(it, x, _finite(objective(ax, gh, gv), it)):
+        z += sigma * krbar
+        z_data /= 1.0 + 0.5 * sigma
+        z_tv.clip(-w, w, out=z_tv)
+        x_new = (x - tau * (kt @ z)).clip(*_BOX)
+        kr_new = k @ x_new - shift
+        krbar = 2.0 * kr_new - kr
+        x, kr = x_new, kr_new
+        if track.step(it, x, _finite(objective(kr), it)):
             break
     return track.result()
 
@@ -289,7 +282,8 @@ def solve_reformulated(basis, q, opts: SolveOptions = None) -> SolveResult:
     """Recombine subspace coefficients into an image.
 
     Solves min_x ||q - B^T x||^2 + tv_weight * TV(x) over x in [0, 1] (every
-    iterate is clipped), by Chambolle-Pock, warm started from the clipped
+    iterate is clipped), by Chambolle-Pock on the stacked operator
+    [B^T; D] built from the stack's CSR B^T, warm started from the clipped
     minimum-norm least-squares solution pinv(B^T) q, consistent or not. Every
     image recombined on one stack shares B, so the start comes from the
     stack's Gram eigendecomposition (:meth:`StackedBasis.minnorm_lstsq`): its
@@ -303,21 +297,22 @@ def solve_reformulated(basis, q, opts: SolveOptions = None) -> SolveResult:
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     if q.size != stack.total_k:
         raise ValueError(f"expected {stack.total_k} coefficients, got {q.size}")
-    bs, bt = stack.csr_pair
-    return _chambolle_pock(bt, bs, q, stack.grid, opts,
+    return _chambolle_pock(stack.csr_pair[1], q, stack.grid, opts,
                            np.clip(stack.minnorm_lstsq(q), *_BOX))
 
 
 def tv_direct(a, y, opts: SolveOptions = None) -> SolveResult:
     """TV-regularized direct inversion min ||A x - y||^2 + tv_weight * TV(x) over [0, 1].
 
-    Same Chambolle-Pock machinery as :func:`solve_reformulated`, warm started
-    from the box-constrained least-squares solution of :func:`nnls`. Rows
+    Same Chambolle-Pock machinery as :func:`solve_reformulated`, on the
+    stacked operator [A; D] of the kept rows of A (a dense A is converted to
+    CSR), warm started from the box-constrained least-squares solution of
+    :func:`nnls`. Rows
     flagged erased are always dropped, and every iterate is clipped to
     [0, 1]. With tv_weight = 0 this reduces to :func:`nnls` up to tolerance.
     """
     opts = opts or SolveOptions()
-    mat, mat_t, target, grid = _coerce_system(a, y)
+    mat, _, target, grid = _coerce_system(a, y)
     if opts.tv_weight == 0.0:
         # The problem is plain box-constrained least squares.
         img, info = nnls(mat, target, opts, return_info=True)
@@ -325,7 +320,7 @@ def tv_direct(a, y, opts: SolveOptions = None) -> SolveResult:
                            info.iterations, 2.0 * info.objectives)
     warm_opts = SolveOptions(max_iters=max(200, opts.max_iters), tol=opts.tol)
     start = nnls(mat, target, warm_opts).values
-    return _chambolle_pock(mat, mat_t, target, grid, opts, start)
+    return _chambolle_pock(mat, target, grid, opts, start)
 
 
 def minnorm_prefixes(basis, q, counts) -> dict:

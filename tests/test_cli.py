@@ -12,7 +12,8 @@ from meshtomo.cli import main
 from meshtomo.core import Grid, Image, load_image, save_image
 from meshtomo.data import load_dataset, output_snr
 from meshtomo.kernel import load_radial_profile
-from meshtomo.tomo import load_measurement
+from meshtomo.solve import SolveOptions, nnls, tv_direct
+from meshtomo.tomo import build_ray_matrix, load_measurement, place_sensors
 
 
 def run(*argv):
@@ -115,6 +116,28 @@ def test_oracle_recombination_reasonable(pipe):
         rec = load_image(pipe["recon_sub"] / f"recon_{i:05d}.f32raw")
         assert rec.grid.side == 12
         assert rec.values.min() >= -1e-6 and rec.values.max() <= 1.0 + 1e-6
+
+
+def test_solve_manifests_record_iterations_and_stops(pipe, tmp_path):
+    rm = build_ray_matrix(place_sensors(10), Grid(12))
+    y = load_measurement(pipe["noisy"] / "y_00000.csv")
+    solved = {"warm": nnls(rm, y, SolveOptions(max_iters=300), return_info=True)[1],
+              "recon_tv": tv_direct(rm, y, SolveOptions(max_iters=300, tv_weight=0.05))}
+    for name in ("warm", "recon_sub", "recon_tv"):
+        man = json.loads((pipe[name] / "manifest.json").read_text())
+        assert man["count"] == len(man["iterations"]) == len(man["converged"]) == 6
+        assert all(isinstance(v, int) and 1 <= v <= 300 for v in man["iterations"])
+        assert all(isinstance(v, bool) for v in man["converged"])
+        if name in solved:
+            assert (man["iterations"][0], man["converged"][0]) == \
+                (solved[name].iterations, solved[name].converged)
+    trees = []
+    for _ in range(2):
+        assert run("reconstruct", "--method", "tv-direct", "--measurements", pipe["noisy"],
+                   "--sensors", 10, "--grid-side", 12, "--tv-weight", 0.05,
+                   "--max-iters", 300, "--out", tmp_path / "tv") == 0
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / "tv").iterdir()})
+    assert trees[0] == trees[1]
 
 
 def test_evaluate_report(pipe):
@@ -398,6 +421,20 @@ def test_numeric_fields_reject_bools_fractions_and_nan(pipe, tmp_path, capsys):
     images, man = load_dataset(tmp_path / "ok")
     assert len(images) == 3 and images[0].grid.side == 8
     assert man["config"]["count"] == 3 and man["config"]["grid_side"] == 8
+
+
+def test_solver_flags_reject_infinite_values(pipe, tmp_path, capsys):
+    tv = ("reconstruct", "--method", "tv-direct", "--measurements", pipe["noisy"],
+          "--sensors", 10, "--grid-side", 12, "--max-iters", 20)
+    warm = ("nnls", "--measurements", pipe["noisy"], "--sensors", 10, "--grid-side", 12)
+    cases = (tv + ("--tv-weight", "inf"), tv + ("--tv-weight", 0.05, "--tol", "inf"),
+             warm + ("--tol", "inf"))
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"inf{i}"
+        assert run(*argv, "--out", out) == 2
+        field = "tv_weight" if i == 0 else "tol"
+        assert f"config error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_forward_on_malformed_dataset_manifest_exits_3(pipe, tmp_path):

@@ -25,12 +25,14 @@ def make_stack(grid, ks, seed0):
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveOptions(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(tv_weight=-0.1)
+    for bad in (dict(max_iters=0), dict(max_iters=10.5), dict(max_iters=True),
+                dict(max_iters=math.inf), dict(tol=-1.0), dict(tol=math.inf),
+                dict(tol=math.nan), dict(tv_weight=-0.1), dict(tv_weight=math.inf),
+                dict(tv_weight=math.nan)):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
+    opts = SolveOptions(max_iters=10.0)
+    assert opts.max_iters == 10 and isinstance(opts.max_iters, int)
 
 
 def test_power_norm_matches_spectral_norm():
@@ -518,8 +520,10 @@ def test_recombination_matches_reference_loop():
     q_incons = stack.coeffs(images[0])
     q_incons = q_incons + 0.05 * Seed(5).rng().standard_normal(q_incons.size)
     # (coefficients, lambda, expected stop): learned-like inconsistent
-    # coefficients run to the cap; oracle ones here stop by the stall rule
-    for q, lam, capped in ((q_incons, 0.3, True), (stack.coeffs(images[1]), 0.03, False)):
+    # coefficients run to the cap; oracle ones here stop by the stall rule,
+    # and so do the inconsistent ones at lambda = 0, where the TV dual stays 0
+    for q, lam, capped in ((q_incons, 0.3, True), (stack.coeffs(images[1]), 0.03, False),
+                           (q_incons, 0.0, False)):
         opts = SolveOptions(tv_weight=lam, max_iters=600)
         res = solve_reformulated(stack, q, opts)
         ref = reference_chambolle_pock(bs.T.tocsr(), bs, q, grid, opts,
@@ -552,6 +556,7 @@ class CountingOp:
 
     def __init__(self, mat):
         self.mat = mat
+        self.shape = mat.shape
         self.calls = 0
 
     def __matmul__(self, v):
@@ -577,14 +582,43 @@ def test_chambolle_pock_two_products_per_iteration(monkeypatch):
     grid = Grid(16)
     rm = build_ray_matrix(place_sensors(12), grid)
     y = forward(rm, gen_shapes(ShapesConfig(1, 16, seed=Seed(31)))[0])
-    mat, mat_t = CountingOp(rm.matrix), CountingOp(rm.matrix.T)
-    spent = _count_power_norm_products(monkeypatch, (mat, mat_t))
+    ops = []
+    build = solve._stacked_operator
+
+    def counted_build(data_mat, side):
+        ops.extend(CountingOp(op) for op in build(data_mat, side))
+        return tuple(ops)
+
+    monkeypatch.setattr(solve, "_stacked_operator", counted_build)
+    spent = _count_power_norm_products(monkeypatch, ops)
     x0 = np.full(grid.n_pixels, 0.5)
-    res = _chambolle_pock(mat, mat_t, y.values, grid,
+    res = _chambolle_pock(rm.matrix, y.values, grid,
                           SolveOptions(tv_weight=2e-4, max_iters=50), x0)
     assert res.iterations == 50 and spent[0] > 0
-    # one product for the start's A x, then one of each operator per iteration
-    assert mat.calls + mat_t.calls - spent[0] <= 2 * res.iterations + 1
+    # power_norm applies K and K^T in pairs; the loop applies K once for the
+    # start's K x, then K and K^T once each per iteration
+    k, kt = ops
+    assert k.calls - spent[0] // 2 <= res.iterations + 1
+    assert kt.calls - spent[0] // 2 <= res.iterations
+
+
+def test_stacked_operator_blocks_and_adjoint():
+    grid = Grid(16)
+    rm = build_ray_matrix(place_sensors(12), grid)
+    rng = Seed(8).rng()
+    m = rm.matrix.shape[0]
+    k, _ = solve._stacked_operator(rm.matrix, grid.side)
+    v = rng.random(grid.n_pixels)
+    v2 = v.reshape(grid.side, grid.side)
+    assert np.array_equal(k[m:] @ v, np.concatenate([np.diff(v2, axis=1).ravel(),
+                                                     np.diff(v2, axis=0).ravel()]))
+    stack = make_stack(grid, [20] * 5, 40)
+    for data in (rm.matrix, rm.matrix.toarray(), stack.csr_pair[1]):
+        k, kt = solve._stacked_operator(data, grid.side)
+        assert abs(k[:data.shape[0]] - data).max() == 0.0
+        x = rng.standard_normal(grid.n_pixels)
+        z = rng.standard_normal(k.shape[0])
+        assert float((k @ x) @ z) == pytest.approx(float(x @ (kt @ z)), rel=1e-12, abs=1e-12)
 
 
 def test_fista_two_products_per_iteration(monkeypatch):
