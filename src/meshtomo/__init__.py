@@ -26,8 +26,7 @@ from .solve import (SolveOptions, SolveResult, SolverError, minnorm_prefixes,
                     minnorm_solve, nnls, solve_reformulated, tv_direct)
 from .tomo import (Measurement, RayMatrix, SensorArray, add_gaussian_noise,
                    build_ray_matrix, erase, forward, load_measurement,
-                   load_ray_matrix, place_sensors, save_measurement,
-                   save_ray_matrix, sensor_pairs)
+                   place_sensors, save_measurement, sensor_pairs)
 
 __version__ = "0.1.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "load_image",
     "load_measurement",
     "load_mesh",
-    "load_ray_matrix",
     "mc_expected_recon",
     "mc_kernel_sweep",
     "mesh_with_k_triangles",
@@ -88,7 +86,6 @@ __all__ = [
     "save_image",
     "save_measurement",
     "save_mesh",
-    "save_ray_matrix",
     "sensor_pairs",
     "solve_reformulated",
     "train_ensemble",

@@ -7,12 +7,21 @@ profile for point inputs, and run the isotropy and shift/superposition
 consistency checks used to validate the kernel picture at desk scale. A trial
 draws one stack of meshes and solves every requested mesh count on it from a
 single block factor of B^T B (:func:`meshtomo.solve.minnorm_prefixes`).
+
+Trials run on a pool with one worker per CPU this process may use, each
+with BLAS on one thread. The workers are forked once per process, on the
+first sweep of two or more trials, so they run the code as it was at that
+moment: a later change to a module's functions in the parent does not reach
+them. The parent folds the trial images in trial order, so every estimate is
+bitwise what one CPU gives.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +46,15 @@ __all__ = [
 # Upper bound on subspaces per trial; fixes the seed-stream layout so sweeps
 # over different subspace counts share meshes (common random numbers).
 _MAX_SUBSPACES = 64
+
+# The trial pool and the pid that created it; a forked child makes its own.
+_POOL = None
+_POOL_PID = None
+# OpenBLAS's thread-count setter, under the names its builds export (plain,
+# and as bundled by numpy and scipy: 32- and 64-bit integer builds).
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "scipy_openblas_set_num_threads64_")
 
 
 @dataclass
@@ -99,6 +117,77 @@ def _trial_stack(grid: Grid, k: int, lambda_count: int, seed: Seed, trial: int) 
     return StackedBasis(bases)
 
 
+def _trial_images(x: Image, lams: list, seed: Seed, k: int, trial: int) -> np.ndarray:
+    """One trial: the minimum-norm reconstruction of ``x`` for each L in
+    ``lams`` (ascending), as a (len(lams), N) array. It runs in a pool worker
+    or in-process; either way its bits are the same."""
+    stack = _trial_stack(x.grid, k, lams[-1], seed, trial)
+    try:
+        sols = minnorm_prefixes(stack, stack.coeffs(x), lams)
+    except SolverError as exc:
+        raise SolverError(f"k={k}, trial {trial}: {exc}") from exc
+    return np.array([sols[lam].values for lam in lams])
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _single_blas_thread() -> None:
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    Each pool worker calls this once. The pool already keeps every CPU busy,
+    and a BLAS thread pool in each worker oversubscribed them: OpenBLAS's
+    spinning threads made a pooled sweep about three times slower than one
+    process. OpenBLAS reads its thread count from the environment only when
+    it loads, so the count is set through each loaded copy's own entry point.
+    Where /proc/self/maps or the entry point is missing, nothing changes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return
+    for path in {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _trial_pool():
+    """This process's trial pool, created on first use; None on one CPU.
+
+    Workers are forked, so they start without a fresh import and share the
+    parent's loaded modules; each runs BLAS on one thread. The pid check
+    keeps a forked child of this process from submitting to its parent's
+    workers.
+    """
+    global _POOL, _POOL_PID
+    cpus = _cpu_count()
+    if cpus < 2:
+        return None
+    if _POOL is None or _POOL_PID != os.getpid():
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        _POOL = ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"),
+                                    initializer=_single_blas_thread)
+        _POOL_PID = os.getpid()
+    return _POOL
+
+
 def mc_expected_recon(x: Image, k: int, lambda_count: int, trials: int,
                       seed: Seed) -> KernelEstimate:
     """Average the minimum-norm reconstruction of ``x`` over random mesh draws.
@@ -124,41 +213,50 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
     solves every cell from one block factor of its stack
     (:func:`minnorm_prefixes`). The per-pixel standard error is accumulated
     alongside the mean by Welford's update.
+
+    With two or more trials and two or more CPUs, the trials run on this
+    process's worker pool (see the module docstring); otherwise they run
+    in-process. The parent adds their images in trial order either way, so
+    the estimates do not depend on the CPU count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    k_values = list(k_values)
+    for k in k_values:
+        if not isinstance(k, (int, np.integer)) or k < 2:
+            raise ValueError(f"k values must be integers >= 2, got {k!r}")
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     lam_sorted = sorted(set(int(v) for v in lambda_values))
     if not lam_sorted or lam_sorted[0] < 1 or lam_sorted[-1] > _MAX_SUBSPACES:
         raise ValueError(f"lambda values must be a non-empty subset of "
                          f"[1, {_MAX_SUBSPACES}], got {list(lambda_values)}")
+    trials = int(trials)
+    pool = _trial_pool() if trials > 1 else None
+    images = (map if pool is None else pool.map)(
+        partial(_trial_images, x, lam_sorted, seed),
+        [int(k) for k in k_values for _ in range(trials)],
+        [t for _ in k_values for t in range(trials)])
     center = _single_pixel(x)
     out = {}
     for k in k_values:
-        acc = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
-        running = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
-        sq_dev = {lam: np.zeros(x.grid.n_pixels) for lam in lam_sorted}
+        acc = np.zeros((len(lam_sorted), x.grid.n_pixels))
+        running = np.zeros_like(acc)
+        sq_dev = np.zeros_like(acc)
         for t in range(trials):
-            stack = _trial_stack(x.grid, int(k), lam_sorted[-1], seed, t)
-            try:
-                sols = minnorm_prefixes(stack, stack.coeffs(x), lam_sorted)
-            except SolverError as exc:
-                raise SolverError(f"k={k}, trial {t}: {exc}") from exc
-            for lam in lam_sorted:
-                v = sols[lam].values
-                acc[lam] += v
-                # Welford's update: the running mean moves towards v without
-                # passing it, so every term added to sq_dev is >= 0
-                delta = v - running[lam]
-                running[lam] += delta / (t + 1)
-                sq_dev[lam] += delta * (v - running[lam])
-        for lam in lam_sorted:
-            mean = Image(x.grid, acc[lam] / trials)
+            v = next(images)
+            acc += v
+            # Welford's update: the running mean moves towards v without
+            # passing it, so every term added to sq_dev is >= 0
+            delta = v - running
+            running += delta / (t + 1)
+            sq_dev += delta * (v - running)
+        for row, lam in enumerate(lam_sorted):
+            mean = Image(x.grid, acc[row] / trials)
             profile = None
             if center is not None:
                 profile = _radial_profile(mean.as_matrix(), x.grid.side, center)
             stderr = None
             if trials > 1:
-                stderr = Image(x.grid, np.sqrt(sq_dev[lam] / ((trials - 1) * trials)))
+                stderr = Image(x.grid, np.sqrt(sq_dev[row] / ((trials - 1) * trials)))
             out[(int(k), lam)] = KernelEstimate(x.grid, mean, profile, trials,
                                                 int(k), lam, stderr)
     return out

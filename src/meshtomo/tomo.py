@@ -25,10 +25,8 @@ __all__ = [
     "erase",
     "forward",
     "load_measurement",
-    "load_ray_matrix",
     "place_sensors",
     "save_measurement",
-    "save_ray_matrix",
     "sensor_pairs",
 ]
 
@@ -241,45 +239,3 @@ def load_measurement(path) -> Measurement:
         return Measurement(np.array(values), np.array(mask, dtype=bool))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def save_ray_matrix(a: RayMatrix, path) -> None:
-    """Text triplets 'r c v' under an 'M N nnz' header line."""
-    coo = a.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{a.m} {a.grid.n_pixels} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
-
-
-def load_ray_matrix(path) -> RayMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise FormatError(f"{path}: expected header 'M N nnz'")
-        try:
-            m, n, nnz = (int(t) for t in header)
-        except ValueError as exc:
-            raise FormatError(f"{path}: non-integer header field: {exc}") from exc
-        side = math.isqrt(n)
-        if side * side != n:
-            raise FormatError(f"{path}: column count {n} is not a perfect square")
-        rows, cols, vals = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'r c v'")
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(float(parts[2]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(vals) != nnz:
-        raise FormatError(f"{path}: header promises {nnz} entries, file has {len(vals)}")
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
-    return RayMatrix(mat, Grid(side))

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from meshtomo import cli
+from meshtomo import cli, kernel
 from meshtomo.cli import main
 from meshtomo.core import Grid, Image, load_image, save_image
 from meshtomo.data import load_dataset, output_snr
@@ -209,6 +209,23 @@ def test_kernel_mc_reruns_identical_and_single_trial(tmp_path):
     assert not (tmp_path / "one" / "stderr.f32raw").exists()
     man = json.loads((tmp_path / "one" / "manifest.json").read_text())
     assert man["max_stderr"] is None
+
+
+def test_kernel_mc_tree_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    trees = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(kernel, "_cpu_count", lambda cpus=cpus: cpus)
+        assert run("kernel-mc", "--triangles", 7, "--subspaces", 3, "--trials", 7,
+                   "--grid-side", 10, "--pixel", "4,6", "--seed", 9,
+                   "--out", tmp_path / "kmc") == 0
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / "kmc").iterdir()})
+    assert trees[0] == trees[1] and len(trees[0]) == 5
+
+
+def test_kernel_mc_bad_triangles_writes_nothing(tmp_path):
+    assert run("kernel-mc", "--triangles", 1, "--subspaces", 2, "--trials", 3,
+               "--out", tmp_path / "kmc") == 2
+    assert not (tmp_path / "kmc").exists()
 
 
 def test_gen_data_rerun_is_byte_identical(pipe, tmp_path):

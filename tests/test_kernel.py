@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from meshtomo import kernel
 from meshtomo.core import FormatError, Grid, Image, Seed
 from meshtomo.kernel import (KernelEstimate, RadialBin, _radial_profile, _trial_stack,
                              convolution_consistency, isotropy_check,
@@ -123,6 +130,149 @@ def test_stderr_is_std_of_trial_images_over_root_t():
     assert mc_expected_recon(x, 8, 2, 1, Seed(16)).stderr_image is None
 
 
+def test_pooled_sweep_is_bitwise_the_in_process_sweep(monkeypatch):
+    # two CPUs force the pool even on a one-CPU machine; one CPU forces the
+    # in-process path
+    grid = Grid(12)
+    x = pixel_image(grid, 6, 5)
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(kernel, "_cpu_count", lambda cpus=cpus: cpus)
+        assert (kernel._trial_pool() is None) == (cpus == 1)
+        runs.append(mc_kernel_sweep(x, [6, 9, 14], [1, 2, 4], 7, Seed(21)))
+    pooled, serial = runs
+    assert sorted(pooled) == sorted(serial) and len(pooled) == 9
+    for cell, est in pooled.items():
+        assert np.array_equal(est.mean_image.values, serial[cell].mean_image.values)
+        assert np.array_equal(est.stderr_image.values, serial[cell].stderr_image.values)
+
+
+def _run_fresh(script, **env):
+    """Run ``script`` in a new interpreter that imports this meshtomo; its stdout."""
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                         env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_cli_import_and_single_trial_start_no_pool():
+    # the CLI's start-up and a one-trial sweep load no process machinery
+    out = _run_fresh("""
+        import sys
+        import meshtomo.cli
+        from meshtomo import core, kernel
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                          or m == "concurrent.futures.process")
+
+        print(loaded())
+        kernel._cpu_count = lambda: 2
+        x = core.Image(core.Grid(8), [1.0] + [0.0] * 63)
+        kernel.mc_expected_recon(x, 6, 2, 1, core.Seed(1))
+        print(loaded(), kernel._POOL)
+        """)
+    assert out.splitlines() == ["[]", "[] None"]
+
+
+def test_trial_failure_names_k_and_trial():
+    # patched before the pool forks, so the workers fail too; the first
+    # failing trial in trial order is the one reported, on one CPU or two
+    out = _run_fresh("""
+        from meshtomo import core, kernel, solve
+
+        solve_all = kernel.minnorm_prefixes
+
+        def fail_at_k8(stack, coeffs, lams):
+            if stack.bases[0].k == 8:
+                raise solve.SolverError("inconsistent")
+            return solve_all(stack, coeffs, lams)
+
+        kernel.minnorm_prefixes = fail_at_k8
+        x = core.Image(core.Grid(8), [0.0] * 27 + [1.0] + [0.0] * 36)
+        for cpus in (1, 2):
+            kernel._cpu_count = lambda: cpus
+            try:
+                kernel.mc_kernel_sweep(x, [6, 8], [1, 2], 3, core.Seed(2))
+            except solve.SolverError as exc:
+                print(exc, kernel._POOL is not None)
+        """)
+    assert out.splitlines() == ["k=8, trial 0: inconsistent False",
+                                "k=8, trial 0: inconsistent True"]
+
+
+def test_workers_run_blas_on_one_thread():
+    # the parent keeps the two BLAS threads it was started with
+    out = _run_fresh("""
+        import ctypes, json
+        import numpy, scipy.linalg
+        from meshtomo import core, kernel
+
+        def blas_threads():
+            with open("/proc/self/maps") as fh:
+                paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                         if "openblas" in line}
+            counts = []
+            for path in sorted(paths):
+                lib = ctypes.CDLL(path)
+                for name in kernel._OPENBLAS_SET_THREADS:
+                    getter = getattr(lib, name.replace("_set_", "_get_"), None)
+                    if getter is not None:
+                        counts.append(getter())
+                        break
+            return counts
+
+        kernel._cpu_count = lambda: 2
+        x = core.Image(core.Grid(8), [1.0] + [0.0] * 63)
+        kernel.mc_expected_recon(x, 6, 2, 3, core.Seed(1))
+        print(json.dumps([blas_threads(), kernel._POOL.submit(blas_threads).result()]))
+        """, OPENBLAS_NUM_THREADS="2")
+    parent, worker = json.loads(out)
+    if not parent:
+        pytest.skip("no OpenBLAS found in /proc/self/maps")
+    assert set(parent) == {2} and worker == [1] * len(parent)
+
+
+def test_forked_child_makes_its_own_pool():
+    out = _run_fresh("""
+        import os, signal, time
+        import numpy as np
+        from meshtomo import core, kernel
+
+        kernel._cpu_count = lambda: 2
+        x = core.Image(core.Grid(8), [0.0] * 27 + [1.0] + [0.0] * 36)
+
+        def sweep():
+            return kernel.mc_expected_recon(x, 6, 2, 3, core.Seed(4)).mean_image.values
+
+        ref = sweep()
+        parent_pool = kernel._POOL
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = np.array_equal(sweep(), ref)
+                code = 0 if same and kernel._POOL is not parent_pool else 3
+                kernel._POOL.shutdown()
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                print(os.waitstatus_to_exitcode(status))
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        """)
+    assert out == "0\n"
+
+
 def test_mass_preserved_by_minnorm_mean():
     # each trial reproduces the coefficients of x, so constant-direction mass
     # (an indicator component every mesh contains) keeps the total sum close
@@ -240,7 +390,11 @@ def test_convolution_input_validation():
         convolution_consistency(two, [kern, off], seed)
 
 
-def test_mc_parameter_validation():
+def test_mc_parameter_validation(monkeypatch):
+    def no_pool():
+        raise AssertionError("a bad argument reached the trial pool")
+
+    monkeypatch.setattr(kernel, "_trial_pool", no_pool)
     grid = Grid(8)
     x = pixel_image(grid, 4, 4)
     with pytest.raises(ValueError, match="trials"):
@@ -255,6 +409,12 @@ def test_mc_parameter_validation():
         mc_kernel_sweep(x, [4], [1], 0, Seed(13))
     with pytest.raises(ValueError, match="lambda"):
         mc_kernel_sweep(x, [4], [], 1, Seed(13))
+    for k_values in ([1], [4, 2.0], [True]):
+        with pytest.raises(ValueError, match="k values"):
+            mc_kernel_sweep(x, k_values, [1], 2, Seed(13))
+    for trials in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            mc_kernel_sweep(x, [4], [1], trials, Seed(13))
 
 
 def test_radial_profile_round_trip(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from meshtomo.core import FormatError, Grid, Image, Seed
 from meshtomo.tomo import (Measurement, SensorArray, add_gaussian_noise,
                            build_ray_matrix, erase, forward, load_measurement,
-                           load_ray_matrix, place_sensors, save_measurement,
-                           save_ray_matrix, sensor_pairs)
+                           place_sensors, save_measurement, sensor_pairs)
 
 
 def supersampled_row(p, q, side, samples=20_000):
@@ -157,25 +156,3 @@ def test_measurement_csv_errors(tmp_path):
     p.write_text("value,mask\n3.5,1\n")
     with pytest.raises(FormatError, match="zero"):
         load_measurement(p)
-
-
-def test_ray_matrix_round_trip(tmp_path):
-    rm = build_ray_matrix(place_sensors(6), Grid(8))
-    p = tmp_path / "rays.txt"
-    save_ray_matrix(rm, p)
-    back = load_ray_matrix(p)
-    assert back.grid == rm.grid
-    assert back.m == rm.m
-    assert (back.matrix != rm.matrix).nnz == 0
-    head = p.read_text().splitlines()[0].split()
-    assert [int(head[0]), int(head[1])] == [15, 64]
-
-
-def test_ray_matrix_file_errors(tmp_path):
-    p = tmp_path / "rays.txt"
-    p.write_text("4 63 0\n")
-    with pytest.raises(FormatError, match="square"):
-        load_ray_matrix(p)
-    p.write_text("4 64 2\n0 0 1.0\n")
-    with pytest.raises(FormatError, match="promises"):
-        load_ray_matrix(p)
