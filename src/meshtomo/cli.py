@@ -14,8 +14,8 @@ byte-identical outputs. The commands that draw random numbers (gen-data,
 gen-mesh, corrupt, train, kernel-mc) take ``--seed``, so it is part of
 their configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 missing or unreadable input,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 an input that is missing, not
+a regular file, unreadable or undecodable, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ def _resolve(args, fields):
     file_cfg = {}
     if args.config:
         path = args.config
-        if not os.path.isfile(path):
-            raise FileNotFoundError(path)
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
@@ -608,8 +606,8 @@ def main(argv=None) -> int:
     handler, _, fields = _COMMANDS[args.command]
     try:
         return handler(_resolve(args, fields))
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except OSError as exc:  # missing, not a regular file, or not readable
+        print(f"missing or unreadable input: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except FormatError as exc:
         print(f"unreadable input: {exc}", file=sys.stderr)

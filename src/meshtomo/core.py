@@ -1,4 +1,6 @@
-"""Pixel grids, images on the unit square, deterministic seeding, and image I/O.
+"""Pixel grids, images on the unit square, deterministic seeding, image I/O,
+and the three containers of every file format: an ASCII JSON document, an
+ASCII CSV table, and a JSON header line followed by little-endian float32.
 
 Geometry convention: the image domain is the unit square [0,1]^2. A square
 grid of ``side`` x ``side`` pixels stores values row-major, with pixel (i, j)
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +136,114 @@ class Image:
         return Image(self.grid, self.values.copy())
 
 
-def _f32raw_bytes(img: Image) -> bytes:
-    header = json.dumps({"side": img.grid.side, "dtype": "f32le"}, separators=(",", ":"))
-    payload = img.values.astype("<f4").tobytes()
-    return header.encode("ascii") + b"\n" + payload
+# ---------------------------------------------------------------------------
+# containers: each on-disk format is one of these, plus its own field rules
+
+def _read_ascii(path) -> str:
+    """The text of ``path``; a byte outside ASCII is a :class:`FormatError`."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text: {exc}") from exc
+
+
+def read_json(path) -> dict:
+    """The JSON object that makes up the ASCII text file ``path``."""
+    try:
+        obj = json.loads(_read_ascii(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: unparseable JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: top level must be a JSON object")
+    return obj
+
+
+def write_table(path, columns: dict, rows) -> None:
+    """ASCII CSV: a header line of the names in ``columns`` (name -> float or
+    int), then one line per row. Floats are written at 17 significant digits,
+    an exact float64 round trip."""
+    line = ",".join("{:.17g}" if kind is float else "{:d}" for kind in columns.values())
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(line.format(*row) + "\n")
+
+
+def read_table(path, columns: dict) -> list:
+    """(line number, values) of each non-blank row of a :func:`write_table`
+    file; every field must parse as its column's kind and be finite."""
+    lines = _read_ascii(path).split("\n")
+    header = ",".join(columns)
+    if lines[0].strip() != header:
+        raise FormatError(f"{path}: expected header {header!r}, got {lines[0].strip()!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise FormatError(f"{path}:{lineno}: expected {len(columns)} fields, "
+                              f"got {len(fields)}")
+        try:
+            values = [kind(f) for kind, f in zip(columns.values(), fields)]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"{path}:{lineno}: non-finite field")
+        rows.append((lineno, values))
+    return rows
+
+
+def pack_f32(header: dict, values) -> bytes:
+    """A one-line compact JSON ``header`` (keys in the dict's order), then
+    ``values`` as little-endian float32."""
+    head = json.dumps(header, separators=(",", ":")).encode("ascii")
+    return head + b"\n" + np.asarray(values).astype("<f4").tobytes()
+
+
+def unpack_f32(blob: bytes, path, size_of) -> tuple:
+    """(header, finite float64 values) of a :func:`pack_f32` blob read from
+    ``path``. ``size_of(header)`` checks the format's own header fields,
+    raising :class:`FormatError`, and returns the number of values."""
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise FormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(blob[:newline].decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unparseable JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object")
+    try:
+        expected = 4 * size_of(header)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    payload = blob[newline + 1 :]
+    if len(payload) != expected:
+        raise FormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: payload contains non-finite values")
+    return header, values
+
+
+# ---------------------------------------------------------------------------
+# images
+
+def _f32raw_size(header: dict) -> int:
+    unknown = set(header) - {"side", "dtype"}
+    if unknown:
+        raise FormatError(f"unknown header field {sorted(unknown)[0]!r}")
+    if "side" not in header:
+        raise FormatError("header missing field 'side'")
+    side = header["side"]
+    if not isinstance(side, int) or isinstance(side, bool) or side < 2:
+        raise FormatError("header field 'side' must be an integer >= 2")
+    if header.get("dtype") != "f32le":
+        raise FormatError("header field 'dtype' must be 'f32le'")
+    return side * side
 
 
 def _pgm16_bytes(img: Image) -> bytes:
@@ -161,45 +268,13 @@ def save_image(img: Image, path, fmt: str) -> None:
     [min, max] onto [0, 65535], intended for human inspection.
     """
     if fmt == "f32raw":
-        blob = _f32raw_bytes(img)
+        blob = pack_f32({"side": img.grid.side, "dtype": "f32le"}, img.values)
     elif fmt == "pgm16":
         blob = _pgm16_bytes(img)
     else:
         raise ValueError(f"unknown image format {fmt!r}; expected 'f32raw' or 'pgm16'")
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-def _load_f32raw(blob: bytes, path) -> Image:
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise FormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(blob[:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unparseable JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header must be a JSON object")
-    unknown = set(header) - {"side", "dtype"}
-    if unknown:
-        raise FormatError(f"{path}: unknown header field {sorted(unknown)[0]!r}")
-    if "side" not in header:
-        raise FormatError(f"{path}: header missing field 'side'")
-    side = header["side"]
-    if not isinstance(side, int) or isinstance(side, bool) or side < 2:
-        raise FormatError(f"{path}: header field 'side' must be an integer >= 2")
-    if header.get("dtype") != "f32le":
-        raise FormatError(f"{path}: header field 'dtype' must be 'f32le'")
-    payload = blob[newline + 1 :]
-    expected = 4 * side * side
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} for side {side}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return Image(Grid(side), values)
 
 
 def _pgm_tokens(blob: bytes, count: int):
@@ -263,5 +338,6 @@ def load_image(path) -> Image:
     if blob.startswith(b"P5"):
         return _load_pgm16(blob, path)
     if blob.startswith(b"{"):
-        return _load_f32raw(blob, path)
+        header, values = unpack_f32(blob, path, _f32raw_size)
+        return Image(Grid(header["side"]), values)
     raise FormatError(f"{path}: unrecognized image file (expected P5 or JSON header)")

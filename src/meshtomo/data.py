@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FormatError, Grid, Image, Seed, load_image, pixel_centers, save_image
+from .core import (FormatError, Grid, Image, Seed, load_image, pixel_centers, read_json,
+                   save_image)
 
 __all__ = [
     "ShapesConfig",
@@ -210,15 +211,7 @@ def save_dataset(images, path, manifest: dict | None = None) -> None:
 def load_dataset(path):
     """Read a dataset directory back; returns (images, manifest)."""
     man_path = os.path.join(path, "manifest.json")
-    if not os.path.isfile(man_path):
-        raise FileNotFoundError(man_path)
-    with open(man_path, "r", encoding="ascii") as fh:
-        try:
-            man = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{man_path}: {exc}") from exc
-    if not isinstance(man, dict):
-        raise FormatError(f"{man_path}: top level must be a JSON object")
+    man = read_json(man_path)
     files = man.get("files")
     if not isinstance(files, list) or not files:
         raise FormatError(f"{man_path}: missing or empty 'files' list")
@@ -229,8 +222,6 @@ def load_dataset(path):
         if not (isinstance(name, str) and name == os.path.basename(name)):
             raise FormatError(f"{man_path}: 'files' entry {name!r} is not a plain file name")
         fpath = os.path.join(path, name)
-        if not os.path.isfile(fpath):
-            raise FileNotFoundError(fpath)
         img = load_image(fpath)
         if side is None:
             side = img.grid.side

@@ -9,14 +9,14 @@ minimization in coefficient space.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .core import FormatError, Grid, Image, Seed
+from .core import FormatError, Image, Seed, pack_f32, unpack_f32
 from .mesh import StackedBasis, SubspaceBasis
 from .solve import SolverError
 from .tomo import Measurement, RayMatrix
@@ -337,60 +337,39 @@ def train_ensemble(dataset, stack: StackedBasis, cfg: TrainConfig) -> list:
 # persistence: one-line JSON header + little-endian float32 parameter blob
 
 def save_estimator(est: Estimator, path) -> None:
-    header = {
-        "kind": est.kind,
-        "weight_shape": list(est.weight.shape),
-        "bias_shape": list(est.bias.shape),
-        "fingerprint": est.fingerprint,
-    }
-    blob = np.concatenate([est.weight.ravel(), est.bias.ravel()]).astype("<f4").tobytes()
+    header = {"bias_shape": list(est.bias.shape), "fingerprint": est.fingerprint,
+              "kind": est.kind, "weight_shape": list(est.weight.shape)}  # sorted keys
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(blob)
+        fh.write(pack_f32(header, np.concatenate([est.weight.ravel(), est.bias.ravel()])))
 
 
-def _shape(path, header, key):
+def _shape(header, key):
     shape = header[key]
     if not (isinstance(shape, list)
             and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in shape)):
-        raise FormatError(f"{path}: header field {key!r} must be a list of "
+        raise FormatError(f"header field {key!r} must be a list of "
                           f"non-negative integers, got {shape!r}")
     return tuple(shape)
 
 
-def load_estimator(path) -> Estimator:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise FormatError(f"{path}: missing header line")
-    try:
-        header = json.loads(blob[:newline].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unparseable JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header must be a JSON object")
+def _param_count(header):
     for key in ("kind", "weight_shape", "bias_shape"):
         if key not in header:
-            raise FormatError(f"{path}: header missing field {key!r}")
+            raise FormatError(f"header missing field {key!r}")
     if header["kind"] not in _KINDS:
-        raise FormatError(f"{path}: unknown estimator kind {header['kind']!r}")
-    w_shape, b_shape = (_shape(path, header, key) for key in ("weight_shape", "bias_shape"))
-    n_params = int(np.prod(w_shape)) + int(np.prod(b_shape))
-    payload = blob[newline + 1 :]
-    if len(payload) != 4 * n_params:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {4 * n_params}")
-    params = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.isfinite(params).all():
-        raise FormatError(f"{path}: parameters must be finite")
-    fingerprint = header.get("fingerprint", "")
-    if not isinstance(fingerprint, str):
-        raise FormatError(f"{path}: header field 'fingerprint' must be a string")
-    w = params[: int(np.prod(w_shape))].reshape(w_shape)
-    b = params[int(np.prod(w_shape)) :].reshape(b_shape)
+        raise FormatError(f"unknown estimator kind {header['kind']!r}")
+    if not isinstance(header.get("fingerprint", ""), str):
+        raise FormatError("header field 'fingerprint' must be a string")
+    return math.prod(_shape(header, "weight_shape")) + math.prod(_shape(header, "bias_shape"))
+
+
+def load_estimator(path) -> Estimator:
+    with open(path, "rb") as fh:
+        header, params = unpack_f32(fh.read(), path, _param_count)
+    w_shape, b_shape = _shape(header, "weight_shape"), _shape(header, "bias_shape")
+    n_weight = math.prod(w_shape)
     try:
-        return Estimator(header["kind"], w, b, fingerprint)
+        return Estimator(header["kind"], params[:n_weight].reshape(w_shape),
+                         params[n_weight:].reshape(b_shape), header.get("fingerprint", ""))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

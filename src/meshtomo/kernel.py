@@ -12,7 +12,8 @@ Trials run on a pool with one worker per CPU this process may use, each
 with BLAS on one thread. The workers are forked once per process, on the
 first sweep of two or more trials, so they run the code as it was at that
 moment: a later change to a module's functions in the parent does not reach
-them. The parent folds the trial images in trial order, so every estimate is
+them. A sweep that finds a worker dead raises ``BrokenProcessPool`` and drops
+the pool; the next sweep forks a new one. The parent folds the trial images in trial order, so every estimate is
 bitwise what one CPU gives.
 """
 
@@ -25,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Grid, Image, Seed
+from .core import FormatError, Grid, Image, Seed, read_table, write_table
 from .mesh import StackedBasis, mesh_with_k_triangles, rasterize
 from .solve import SolverError, minnorm_prefixes
 
@@ -188,6 +189,21 @@ def _trial_pool():
     return _POOL
 
 
+def _pool_map(pool, fn, *iterables):
+    """``pool.map``; a pool broken by a dead worker stays broken, so it is
+    shut down and forgotten, and the next sweep forks a new one."""
+    global _POOL
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        yield from pool.map(fn, *iterables)
+    except BrokenProcessPool:
+        pool.shutdown(wait=False, cancel_futures=True)
+        if _POOL is pool:
+            _POOL = None
+        raise
+
+
 def mc_expected_recon(x: Image, k: int, lambda_count: int, trials: int,
                       seed: Seed) -> KernelEstimate:
     """Average the minimum-norm reconstruction of ``x`` over random mesh draws.
@@ -231,7 +247,7 @@ def mc_kernel_sweep(x: Image, k_values, lambda_values, trials: int,
                          f"[1, {_MAX_SUBSPACES}], got {list(lambda_values)}")
     trials = int(trials)
     pool = _trial_pool() if trials > 1 else None
-    images = (map if pool is None else pool.map)(
+    images = (map if pool is None else partial(_pool_map, pool))(
         partial(_trial_images, x, lam_sorted, seed),
         [int(k) for k in k_values for _ in range(trials)],
         [t for _ in k_values for t in range(trials)])
@@ -428,37 +444,18 @@ def convolution_consistency(x_multi: Image, single_pixel_kernels, seed: Seed,
     return ConvolutionReport(central, full, central <= tolerance, note)
 
 
+_PROFILE_COLUMNS = {"radius": float, "mean": float, "std": float, "n": int}
+
+
 def save_radial_profile(profile, path) -> None:
     """CSV with columns radius,mean,std,n."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("radius,mean,std,n\n")
-        for b in profile:
-            fh.write(f"{b.radius:.17g},{b.mean:.17g},{b.std:.17g},{b.n}\n")
+    write_table(path, _PROFILE_COLUMNS, ((b.radius, b.mean, b.std, b.n) for b in profile))
 
 
 def load_radial_profile(path) -> list:
-    from .core import FormatError
-
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "radius,mean,std,n":
-            raise FormatError(f"{path}: expected header 'radius,mean,std,n'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                row = RadialBin(float(parts[0]), float(parts[1]),
-                                float(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, (row.radius, row.mean, row.std))):
-                raise FormatError(f"{path}:{lineno}: non-finite field")
-            if row.radius < 0 or row.std < 0 or row.n < 1:
-                raise FormatError(f"{path}:{lineno}: need radius >= 0, std >= 0 and n >= 1")
-            out.append(row)
+    for lineno, (radius, mean, std, n) in read_table(path, _PROFILE_COLUMNS):
+        if radius < 0 or std < 0 or n < 1:
+            raise FormatError(f"{path}:{lineno}: need radius >= 0, std >= 0 and n >= 1")
+        out.append(RadialBin(radius, mean, std, n))
     return out

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .core import FormatError, Grid, Image, Seed
+from .core import FormatError, Grid, Image, Seed, read_json
 
 __all__ = [
     "StackedBasis",
@@ -34,11 +34,9 @@ __all__ = [
     "delaunay_triangulate",
     "delaunay_violations",
     "gaussian_subspace_projector",
-    "load_basis",
     "load_mesh",
     "mesh_with_k_triangles",
     "rasterize",
-    "save_basis",
     "save_mesh",
 ]
 
@@ -134,11 +132,7 @@ def save_mesh(mesh: TriMesh, path) -> None:
 
 
 def load_mesh(path) -> TriMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: unparseable mesh JSON: {exc}") from exc
+    obj = read_json(path)
     try:
         return TriMesh.from_dict(obj)
     except (ValueError, TypeError) as exc:
@@ -500,30 +494,6 @@ class StackedBasis:
         if pixel_side:
             return vecs @ (inv_lam * (vecs.T @ (b @ q)))
         return b @ (vecs @ (inv_lam * (vecs.T @ q)))
-
-
-def save_basis(basis: SubspaceBasis, path) -> None:
-    """Persist a basis as mesh + grid side; the assignment is recomputed on load."""
-    obj = {"grid_side": basis.grid.side, "mesh": basis.mesh.to_dict()}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_basis(path) -> SubspaceBasis:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: unparseable basis JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "grid_side" not in obj or "mesh" not in obj:
-        raise FormatError(f"{path}: basis JSON must contain 'grid_side' and 'mesh'")
-    try:
-        mesh = TriMesh.from_dict(obj["mesh"])
-        grid = Grid(obj["grid_side"])
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return rasterize(mesh, grid)
 
 
 def gaussian_subspace_projector(n: int, k: int, seed: Seed) -> np.ndarray:

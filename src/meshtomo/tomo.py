@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse, special
 
-from .core import FormatError, Grid, Image, Seed
+from .core import FormatError, Grid, Image, Seed, read_table, write_table
 
 __all__ = [
     "Measurement",
@@ -206,36 +206,21 @@ def erase(y: Measurement, p: float, seed: Seed) -> Measurement:
 # ---------------------------------------------------------------------------
 # file formats
 
+_COLUMNS = {"value": float, "mask": int}
+
+
 def save_measurement(y: Measurement, path) -> None:
     """CSV with columns value,mask (mask 1 = erased). Exact float round trip."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("value,mask\n")
-        for v, m in zip(y.values, y.mask):
-            fh.write(f"{v:.17g},{int(m)}\n")
+    write_table(path, _COLUMNS, zip(y.values.tolist(), y.mask.tolist()))
 
 
 def load_measurement(path) -> Measurement:
-    values, mask = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "value,mask":
-            raise FormatError(f"{path}: expected header 'value,mask', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                values.append(float(parts[0]))
-                flag = int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if flag not in (0, 1):
-                raise FormatError(f"{path}:{lineno}: mask must be 0 or 1, got {parts[1]}")
-            mask.append(bool(flag))
+    rows = read_table(path, _COLUMNS)
+    for lineno, (_, flag) in rows:
+        if flag not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: mask must be 0 or 1, got {flag}")
+    table = np.array([row for _, row in rows]).reshape(-1, 2)
     try:
-        return Measurement(np.array(values), np.array(mask, dtype=bool))
+        return Measurement(table[:, 0], table[:, 1] == 1)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

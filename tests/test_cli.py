@@ -363,6 +363,29 @@ def test_missing_input_exit_codes(pipe, tmp_path, capsys):
                "--grid-side", 12, "--data", pipe["data"], "--out", tmp_path / "e") == 3
 
 
+def test_unreadable_input_exit_codes(pipe, tmp_path, capsys):
+    # a directory where a measurement file should be, a byte outside ASCII
+    # in a measurement file, and one in a mesh file
+    for name in ("dir", "byte"):
+        meas = tmp_path / f"{name}-meas"
+        shutil.copytree(pipe["noisy"], meas)
+        target = meas / "y_00001.csv"
+        if name == "dir":
+            target.unlink()
+            target.mkdir()
+        else:
+            target.write_bytes(target.read_bytes() + b"\xff\n")
+        assert run("nnls", "--measurements", meas, "--sensors", 10, "--grid-side", 12,
+                   "--out", tmp_path / f"{name}-warm") == 3
+        assert "y_00001.csv" in capsys.readouterr().err
+    meshes = tmp_path / "byte-meshes"
+    shutil.copytree(pipe["meshes"], meshes)
+    (meshes / "mesh_001.json").write_bytes(b"\xff" + (meshes / "mesh_001.json").read_bytes())
+    assert run("estimate", "--backend", "oracle", "--meshes", meshes, "--grid-side", 12,
+               "--data", pipe["data"], "--out", tmp_path / "q") == 3
+    assert "mesh_001.json" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(pipe, tmp_path):
     # two sensors give a single ray; an 8-triangle subspace cannot be
     # identified from it, so the oblique build must fail numerically

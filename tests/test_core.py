@@ -139,6 +139,13 @@ def test_pgm16_comments_tolerated(tmp_path):
     assert img.grid.side == 2
 
 
+def test_f32raw_bytes_on_disk(tmp_path):
+    p = tmp_path / "img.f32raw"
+    save_image(Image(Grid(2), [0.0, 1.0, -2.5, 0.125]), p, "f32raw")
+    assert p.read_bytes() == (b'{"side":2,"dtype":"f32le"}\n'
+                              b"\x00\x00\x00\x00\x00\x00\x80?\x00\x00 \xc0\x00\x00\x00>")
+
+
 def test_format_errors_name_the_problem(tmp_path):
     cases = [
         (b"{\"side\":2}\n" + b"\x00" * 16, "dtype"),

@@ -243,3 +243,6 @@ def test_load_dataset_rejects_malformed_manifests(tmp_path):
         (bad / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match=match):
             load_dataset(bad)
+    (root / "manifest.json").write_bytes(b'{"files": ["00000.f32raw"]}\xff\n')
+    with pytest.raises(FormatError, match="ASCII"):
+        load_dataset(root)

@@ -413,6 +413,20 @@ def test_estimator_save_load_round_trip(tmp_path):
     assert np.array_equal(back2.weight, np.zeros(5))
 
 
+def test_estimator_bytes_on_disk(tmp_path):
+    affine = Estimator("per-mesh-affine", [[0.5, -1.0]], [2.0], "0123abcd")
+    pooled = Estimator("shared-pooled", [1.0, 2.0, 3.0, 4.0, 5.0], [0.25])
+    save_estimator(affine, tmp_path / "affine.est")
+    save_estimator(pooled, tmp_path / "pooled.est")
+    assert (tmp_path / "affine.est").read_bytes() == (
+        b'{"bias_shape":[1],"fingerprint":"0123abcd","kind":"per-mesh-affine",'
+        b'"weight_shape":[1,2]}\n'
+        b"\x00\x00\x00?\x00\x00\x80\xbf\x00\x00\x00@")
+    assert (tmp_path / "pooled.est").read_bytes() == (
+        b'{"bias_shape":[1],"fingerprint":"","kind":"shared-pooled","weight_shape":[5]}\n'
+        b"\x00\x00\x80?\x00\x00\x00@\x00\x00@@\x00\x00\x80@\x00\x00\xa0@\x00\x00\x80>")
+
+
 def test_load_estimator_rejects_malformed(tmp_path):
     good = tmp_path / "good.est"
     save_estimator(Estimator.zero_pooled(), good)

@@ -236,6 +236,36 @@ def test_workers_run_blas_on_one_thread():
     assert set(parent) == {2} and worker == [1] * len(parent)
 
 
+@pytest.mark.skipif(kernel._cpu_count() < 2, reason="the trial pool needs 2 CPUs")
+def test_broken_pool_is_replaced_by_the_next_sweep():
+    # killed workers break the pool; the sweep that finds it broken raises,
+    # and the next one forks a new pool whose images are the in-process ones
+    out = _run_fresh("""
+        import os, signal
+        import numpy as np
+        from concurrent.futures.process import BrokenProcessPool
+        from meshtomo import core, kernel
+
+        x = core.Image(core.Grid(8), [0.0] * 27 + [1.0] + [0.0] * 36)
+
+        def sweep():
+            return kernel.mc_expected_recon(x, 6, 2, 3, core.Seed(4)).mean_image.values
+
+        sweep()
+        for pid in list(kernel._POOL._processes):
+            os.kill(pid, signal.SIGKILL)
+        try:
+            sweep()
+        except BrokenProcessPool:
+            print("broken", kernel._POOL is None)
+        pooled = sweep()
+        print("pooled", kernel._POOL is not None)
+        kernel._cpu_count = lambda: 1
+        print(np.array_equal(pooled, sweep()))
+        """)
+    assert out.splitlines() == ["broken True", "pooled True", "True"]
+
+
 def test_forked_child_makes_its_own_pool():
     out = _run_fresh("""
         import os, signal, time
@@ -429,6 +459,12 @@ def test_radial_profile_round_trip(tmp_path):
         assert a.std == b.std and a.n == b.n
 
 
+def test_radial_profile_bytes_on_disk(tmp_path):
+    path = tmp_path / "profile.csv"
+    save_radial_profile([RadialBin(0.0, 1.0, 0.0, 1), RadialBin(1.25, 0.1, 0.5, 4)], path)
+    assert path.read_bytes() == b"radius,mean,std,n\n0,1,0,1\n1.25,0.10000000000000001,0.5,4\n"
+
+
 def test_radial_profile_rejects_malformed(tmp_path):
     bad_header = tmp_path / "hdr.csv"
     bad_header.write_text("r,m,s,n\n0,1,0,1\n")
@@ -442,6 +478,10 @@ def test_radial_profile_rejects_malformed(tmp_path):
     bad_value.write_text("radius,mean,std,n\n0,one,0,1\n")
     with pytest.raises(FormatError):
         load_radial_profile(bad_value)
+    bad_byte = tmp_path / "byte.csv"
+    bad_byte.write_bytes(b"radius,mean,std,n\n0,1,0,1\xff\n")
+    with pytest.raises(FormatError, match="ASCII"):
+        load_radial_profile(bad_byte)
     for row in ("0,nan,0,1", "1,0.5,inf,-3", "inf,0.5,0,1", "0,-inf,0,1",
                 "-1,0.5,0,1", "1,0.5,-0.1,2", "1,0.5,0.1,0", "1,0.5,0.1,-3"):
         bad_row = tmp_path / "row.csv"

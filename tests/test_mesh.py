@@ -8,9 +8,8 @@ from scipy.spatial import Delaunay as ScipyDelaunay
 
 from meshtomo.core import FormatError, Grid, Image, Seed
 from meshtomo.mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
-                           delaunay_violations, gaussian_subspace_projector, load_basis,
-                           load_mesh, mesh_with_k_triangles, rasterize, save_basis,
-                           save_mesh)
+                           delaunay_violations, gaussian_subspace_projector, load_mesh,
+                           mesh_with_k_triangles, rasterize, save_mesh)
 
 CORNERS = {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
@@ -211,10 +210,25 @@ def test_load_mesh_rejects_meshes_that_do_not_tile(tmp_path):
         mesh_path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=match):
             load_mesh(mesh_path)
-        basis_path = tmp_path / f"{match}-basis.json"
-        basis_path.write_text(json.dumps({"grid_side": 4, "mesh": obj}))
-        with pytest.raises(FormatError, match=match):
-            load_basis(basis_path)
+
+
+def test_load_mesh_rejects_malformed_files(tmp_path):
+    mesh = mesh_with_k_triangles(4, Seed(1)).to_dict()
+    bad_index = {"vertices": mesh["vertices"],
+                 "triangles": [[0, 1, len(mesh["vertices"])]] + mesh["triangles"][1:]}
+    cases = {
+        "index": (json.dumps(bad_index).encode(), "out of range"),
+        "scalar": (b"7", "JSON object"),
+        "keys": (json.dumps({"vertices": mesh["vertices"]}).encode(), "must contain"),
+        "syntax": (b'{"vertices": [', "unparseable"),
+        "byte": (json.dumps(mesh).encode().replace(b"[", b"\xff[", 1), "ASCII"),
+    }
+    for name, (blob, match) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=match) as info:
+            load_mesh(path)
+        assert str(path) in str(info.value)
 
 
 def test_rasterize_two_by_two_example():
@@ -261,9 +275,6 @@ def test_rasterize_matches_reference_on_loaded_meshes(tmp_path):
         mesh_path = tmp_path / f"mesh{k}.json"
         save_mesh(mesh, mesh_path)
         assert_matches_reference(rasterize(load_mesh(mesh_path), Grid(side)))
-        basis_path = tmp_path / f"basis{k}.json"
-        save_basis(rasterize(mesh, Grid(side)), basis_path)
-        assert_matches_reference(load_basis(basis_path))
 
 
 def test_rasterize_matches_reference_on_lattice_edges_and_vertices():
@@ -400,37 +411,6 @@ def test_stacked_basis_layout():
         StackedBasis([])
     with pytest.raises(ValueError):
         StackedBasis([bases[0], rasterize(bases[0].mesh, Grid(11))])
-
-
-def test_basis_save_load(tmp_path):
-    grid = Grid(9)
-    basis = rasterize(mesh_with_k_triangles(7, Seed(6)), grid)
-    p = tmp_path / "basis.json"
-    save_basis(basis, p)
-    back = load_basis(p)
-    assert back.grid == grid
-    assert np.array_equal(back.assignment, basis.assignment)
-    assert np.array_equal(back.counts, basis.counts)
-    assert np.array_equal(back.kept, basis.kept)
-
-
-def test_load_basis_rejects_malformed_files(tmp_path):
-    mesh = mesh_with_k_triangles(4, Seed(1)).to_dict()
-    bad_index = {"vertices": mesh["vertices"],
-                 "triangles": [[0, 1, len(mesh["vertices"])]] + mesh["triangles"][1:]}
-    cases = {
-        "side-text": ({"grid_side": "abc", "mesh": mesh}, "must be an integer"),
-        "side-float": ({"grid_side": 4.9, "mesh": mesh}, "must be an integer"),
-        "side-one": ({"grid_side": 1, "mesh": mesh}, "grid side must be >= 2"),
-        "index": ({"grid_side": 4, "mesh": bad_index}, "out of range"),
-        "scalar": (7, "must contain"),
-    }
-    for name, (obj, match) in cases.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(FormatError, match=match) as info:
-            load_basis(path)
-        assert str(path) in str(info.value)
 
 
 def test_gaussian_subspace_projector_shape_and_idempotence():

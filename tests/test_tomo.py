@@ -145,6 +145,12 @@ def test_measurement_csv_round_trip(tmp_path):
     assert p.read_text().splitlines()[0] == "value,mask"
 
 
+def test_measurement_csv_bytes_on_disk(tmp_path):
+    p = tmp_path / "y.csv"
+    save_measurement(Measurement([1.5, 0.0, 0.1], [False, True, False]), p)
+    assert p.read_bytes() == b"value,mask\n1.5,0\n0,1\n0.10000000000000001,0\n"
+
+
 def test_measurement_csv_errors(tmp_path):
     p = tmp_path / "y.csv"
     p.write_text("wrong,header\n1.0,0\n")
@@ -155,4 +161,7 @@ def test_measurement_csv_errors(tmp_path):
         load_measurement(p)
     p.write_text("value,mask\n3.5,1\n")
     with pytest.raises(FormatError, match="zero"):
+        load_measurement(p)
+    p.write_bytes(b"value,mask\n1.0,0\n\xff2.0,0\n")
+    with pytest.raises(FormatError, match="ASCII"):
         load_measurement(p)
