@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .core import FormatError, Grid, Image, Seed, load_image, save_image
+from .core import FormatError, Grid, Image, Seed, load_image, save_image, write_json
 from .data import (ShapesConfig, gen_checkerboard, gen_shapes, load_dataset,
                    output_snr, save_dataset, shapes_manifest)
 from .estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
@@ -188,9 +188,7 @@ def _manifest_payload(command, cfg, extra=None):
 def _write_manifest(out_dir, command, cfg, extra=None):
     payload = _manifest_payload(command, cfg, extra)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 def _require_dir(path, field):
@@ -606,8 +604,8 @@ def main(argv=None) -> int:
     handler, _, fields = _COMMANDS[args.command]
     try:
         return handler(_resolve(args, fields))
-    except OSError as exc:  # missing, not a regular file, or not readable
-        print(f"missing or unreadable input: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(f"cannot read an input or write an output: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except FormatError as exc:
         print(f"unreadable input: {exc}", file=sys.stderr)

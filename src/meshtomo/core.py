@@ -159,6 +159,13 @@ def read_json(path) -> dict:
     return obj
 
 
+def write_json(path, obj: dict) -> None:
+    """``obj`` as ASCII JSON: sorted keys, indent 1, a final newline; NaN raises."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
 def write_table(path, columns: dict, rows) -> None:
     """ASCII CSV: a header line of the names in ``columns`` (name -> float or
     int), then one line per row. Floats are written at 17 significant digits,

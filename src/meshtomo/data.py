@@ -8,7 +8,6 @@ corrupted measurements. Also the on-disk dataset layout: a directory of
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (FormatError, Grid, Image, Seed, load_image, pixel_centers, read_json,
-                   save_image)
+                   save_image, write_json)
 
 __all__ = [
     "ShapesConfig",
@@ -203,9 +202,7 @@ def save_dataset(images, path, manifest: dict | None = None) -> None:
     man.setdefault("count", len(images))
     man.setdefault("side", side)
     man["files"] = [f"{i:05d}.f32raw" for i in range(len(images))]
-    with open(os.path.join(path, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(man, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+    write_json(os.path.join(path, "manifest.json"), man)
 
 
 def load_dataset(path):

@@ -10,7 +10,7 @@ minimization in coefficient space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -129,10 +129,10 @@ class TrainConfig:
     """Settings of the closed-form estimator fit.
 
     ``validation_fraction``, ``weight_decay`` and ``seed`` set the fit: the
-    seed draws the train/validation split and ``weight_decay`` is the ridge
-    penalty of the per-entry MSE. ``epochs``, ``batch_size`` and ``lr`` are
-    still range-checked so existing configs keep loading, but they no longer
-    change the fit.
+    seed draws the one train/validation split every mesh shares, and the
+    finite ``weight_decay`` is the ridge penalty of the per-entry MSE.
+    ``epochs``, ``batch_size`` and ``lr`` are still range-checked so existing
+    configs keep loading, but they do not change the fit.
     """
 
     epochs: int = 80
@@ -151,8 +151,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -242,21 +242,19 @@ def estimate_coeffs(est: Estimator, basis: SubspaceBasis, y_warm: Image) -> np.n
     return feats @ est.weight + est.bias[0]
 
 
-def _ridge_fit(xmat, tmat, cfg):
-    """Exact affine ridge fit of tmat by xmat on a seeded train/validation split.
+def _ridge_fit(xmat, blocks, cfg):
+    """Exact affine ridge fit of each (J, K_l) target block T_l by xmat.
 
-    Minimises mean((X W^T + b - T)^2) + weight_decay * ||W||^2 over the train
-    rows, with the bias unpenalised. Centring X and T on the train rows removes
-    the bias, and multiplying through by T_train.size gives
-    ||X_c W^T - T_c||^2 + lam ||W||^2 with lam = weight_decay * T_train.size,
-    solved by one thin SVD X_c = U S V^T: W^T = V diag(s / (s^2 + lam)) U^T T_c.
-    Singular values below the least-squares cutoff of ``numpy.linalg.lstsq``
-    are dropped, so weight_decay = 0 gives the minimum-norm least-squares map.
-
-    Works for both estimator kinds: per-mesh uses (J, N) inputs and (J, K)
-    targets; shared-pooled uses pooled rows (J*K, 5) and targets (J*K, 1).
-    Returns (W, b, history), whose loss curves are the MSE of the zero map
-    and of the fit on each split.
+    Minimises mean((X W^T + b - T_l)^2) + weight_decay * ||W||^2 over the
+    train rows, with the bias unpenalised. Centring X and T_l on the train
+    rows removes the bias, and multiplying through by T_l's train size gives
+    ||X_c W^T - T_c||^2 + lam_l ||W||^2, lam_l = weight_decay * (rows * K_l).
+    One seeded train/validation split and one thin SVD X_c = U S V^T serve
+    every block, W_l^T = V diag(s / (s^2 + lam_l)) U^T T_c, so each block's fit
+    is exactly its fit alone on that split. Singular values below the cutoff
+    of ``numpy.linalg.lstsq`` are dropped: weight_decay = 0 gives the
+    minimum-norm least-squares map. Returns one (W, b, history) per block,
+    whose loss curves are the MSE of the zero map and of the fit per split.
     """
     n_samples = xmat.shape[0]
     perm = cfg.seed.rng().permutation(n_samples)
@@ -264,37 +262,33 @@ def _ridge_fit(xmat, tmat, cfg):
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         raise ValueError("no training samples left after the validation split")
-    x_tr, t_tr = xmat[train_idx], tmat[train_idx]
-    x_mean, t_mean = x_tr.mean(axis=0), t_tr.mean(axis=0)
+    x_tr = xmat[train_idx]
+    x_mean = x_tr.mean(axis=0)
     u, s, vt = np.linalg.svd(x_tr - x_mean, full_matrices=False)
-    lam = cfg.weight_decay * t_tr.size
     keep = s > s[0] * max(x_tr.shape) * np.finfo(np.float64).eps
-    gain = np.zeros_like(s)
-    gain[keep] = s[keep] / (s[keep] ** 2 + lam)
-    wt = vt.T @ (gain[:, None] * (u.T @ (t_tr - t_mean)))
-    b = t_mean - x_mean @ wt
-
-    def mse(idx, w_t, bias):
-        if idx.size == 0:
-            return np.nan
-        return float(np.mean((xmat[idx] @ w_t + bias - tmat[idx]) ** 2))
-
-    zero = (np.zeros_like(wt), np.zeros_like(b))
-    history = TrainHistory(
-        np.array([mse(train_idx, *zero), mse(train_idx, wt, b)]),
-        np.array([mse(val_idx, *zero), mse(val_idx, wt, b)]))
-    return wt.T, b, history
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    fits = []
+    for tmat in blocks:
+        t_tr = tmat[train_idx]
+        t_mean = t_tr.mean(axis=0)
+        gain = s / (s ** 2 + cfg.weight_decay * t_tr.size)
+        wt = vt.T @ (gain[:, None] * (u.T @ (t_tr - t_mean)))
+        b = t_mean - x_mean @ wt
+        losses = [[np.mean(tmat[idx] ** 2), np.mean((xmat[idx] @ wt + b - tmat[idx]) ** 2)]
+                  if idx.size else [np.nan, np.nan] for idx in (train_idx, val_idx)]
+        fits.append((wt.T, b, TrainHistory(*map(np.array, losses))))
+    return fits
 
 
 def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affine") -> Estimator:
     """Fit an estimator to (image, warm start) pairs by coefficient-space ridge.
 
     ``dataset`` is a list of (x, y_warm) Image pairs. Targets are the oracle
-    coefficients B^T x. per-mesh-affine requires a single SubspaceBasis and
-    fits the residual above the warm start's own subspace projection (its
-    loss curves therefore report residual MSE); the returned weight is the
-    folded full map. shared-pooled accepts a SubspaceBasis or a
-    StackedBasis (pooling samples across all member bases).
+    coefficients B^T x. per-mesh-affine requires a single SubspaceBasis and is
+    the one-mesh case of :func:`train_ensemble`. shared-pooled accepts a
+    SubspaceBasis or a StackedBasis, pools the per-triangle feature rows of
+    every member basis and fits them as one block of :func:`_ridge_fit`; its
+    split is drawn over those rows.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -302,35 +296,39 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
         raise ValueError(f"unknown estimator kind {kind!r}")
     if kind == "per-mesh-affine":
         if not isinstance(basis, SubspaceBasis):
-            raise ValueError(
-                "per-mesh-affine trains against one SubspaceBasis; "
-                "use train_ensemble for a stacked basis")
-        xmat = np.stack([warm.values for _, warm in dataset])
-        tmat = np.stack([oracle_coeffs(basis, x) for x, _ in dataset])
-        # Fit a residual map on top of B^T, so that the zero map is the warm
-        # start's subspace projection and weight decay shrinks toward it.
-        bt = basis.to_sparse().T.tocsr()
-        tres = tmat - (bt @ xmat.T).T
-        w, b, history = _ridge_fit(xmat, tres, cfg)
-        return Estimator(kind, bt.toarray() + w, b, basis.fingerprint, history)
+            raise ValueError("per-mesh-affine trains against one SubspaceBasis; "
+                             "use train_ensemble for a stacked basis")
+        return train_ensemble(dataset, StackedBasis([basis]), cfg)[0]
     bases = basis.bases if isinstance(basis, StackedBasis) else [basis]
-    rows, targets = [], []
-    for x, warm in dataset:
-        for bb in bases:
-            rows.append(pooled_features(bb, warm.values))
-            targets.append(oracle_coeffs(bb, x))
-    xmat = np.concatenate(rows)
-    tmat = np.concatenate(targets)[:, None]
-    w, b, history = _ridge_fit(xmat, tmat, cfg)
+    rows = [(x, warm, bb) for x, warm in dataset for bb in bases]
+    xmat = np.concatenate([pooled_features(bb, warm.values) for _, warm, bb in rows])
+    tmat = np.concatenate([oracle_coeffs(bb, x) for x, _, bb in rows])[:, None]
+    [(w, b, history)] = _ridge_fit(xmat, [tmat], cfg)
     return Estimator(kind, w.ravel(), b, "", history)
 
 
 def train_ensemble(dataset, stack: StackedBasis, cfg: TrainConfig) -> list:
-    """One per-mesh-affine estimator per member of ``stack`` (derived seeds)."""
-    out = []
-    for i, bb in enumerate(stack.bases):
-        out.append(train_estimator(dataset, bb, replace(cfg, seed=cfg.seed.derive(i))))
-    return out
+    """One per-mesh-affine estimator per member of ``stack``, all from one fit.
+
+    Mesh l's map fits the residual B_l^T (x - warm) above the warm start's
+    own projection (the zero map; weight decay shrinks toward it, and the loss
+    curves are residual MSEs) and is returned folded, B_l^T + W_l. One product
+    with the stack's B^T gives every residual, and :func:`_ridge_fit` fits
+    them on one split from ``cfg.seed`` with one SVD. At weight_decay = 0
+    every map is B_l^T (I + R) for one pixel-space R, so the stacked
+    coefficients are those of one image; lam_l scales with K_l, so a positive
+    weight_decay leaves them only close to consistent.
+    """
+    if not dataset:
+        raise ValueError("dataset must be non-empty")
+    xmat = np.stack([warm.values for _, warm in dataset])
+    truth = np.stack([x.values for x, _ in dataset])
+    bt = stack.csr_pair[1]
+    tres = (bt @ (truth - xmat).T).T
+    fits = _ridge_fit(xmat, np.split(tres, stack.offsets[1:], axis=1), cfg)
+    return [Estimator("per-mesh-affine", bt[lo:lo + bb.k].toarray() + w, b,
+                      bb.fingerprint, history)
+            for bb, lo, (w, b, history) in zip(stack.bases, stack.offsets, fits)]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,11 @@ def test_config_error_exit_codes(pipe, tmp_path):
     assert run("evaluate", "--data", pipe["data"], "--out", tmp_path / "i") == 2
     assert run("evaluate", "--data", pipe["data"], "--recon", "label-no-eq",
                "--out", tmp_path / "j") == 2
+    # the ridge penalty must be finite; nothing is written
+    assert run("train", "--data", pipe["data"], "--warm", pipe["warm"],
+               "--meshes", pipe["meshes"], "--grid-side", 12, "--weight-decay", "inf",
+               "--out", tmp_path / "k") == 2
+    assert not (tmp_path / "k").exists()
 
 
 def test_missing_input_exit_codes(pipe, tmp_path, capsys):
@@ -384,6 +389,13 @@ def test_unreadable_input_exit_codes(pipe, tmp_path, capsys):
     assert run("estimate", "--backend", "oracle", "--meshes", meshes, "--grid-side", 12,
                "--data", pipe["data"], "--out", tmp_path / "q") == 3
     assert "mesh_001.json" in capsys.readouterr().err
+    # an output directory that is an existing regular file cannot be written
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run("gen-data", "--count", 1, "--grid-side", 8, "--out", taken) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read an input or write an output:")
+    assert "File exists" in err
 
 
 def test_numeric_failure_exit_code(pipe, tmp_path):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from meshtomo.core import FormatError, Grid, Image, Seed
-from meshtomo.estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
-                               load_estimator, oblique_coeffs, oracle_coeffs,
-                               pooled_features, save_estimator, train_ensemble,
-                               train_estimator)
+from meshtomo.estimate import (Estimator, TrainConfig, _ridge_fit, build_oblique,
+                               estimate_coeffs, load_estimator, oblique_coeffs,
+                               oracle_coeffs, pooled_features, save_estimator,
+                               train_ensemble, train_estimator)
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from meshtomo.solve import SolverError, nnls
+from meshtomo.solve import SolverError, minnorm_prefixes, nnls
 from meshtomo.tomo import Measurement, build_ray_matrix, forward, place_sensors
 
 
@@ -250,7 +250,10 @@ def test_estimator_validation_and_binding():
 
 def test_train_config_validation():
     for kwargs in ({"epochs": 0}, {"batch_size": 0}, {"lr": 0.0},
-                   {"validation_fraction": 1.0}, {"weight_decay": -1.0}):
+                   {"validation_fraction": 1.0}, {"weight_decay": -1.0},
+                   {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+                   {"validation_fraction": float("nan")},
+                   {"validation_fraction": float("inf")}):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
     with pytest.raises(ValueError, match="non-empty"):
@@ -367,19 +370,52 @@ def test_ridge_fit_matches_lstsq_reference():
         assert close(est.bias, b_ref)
         assert est.history.train_loss[1] < est.history.train_loss[0]
 
+        # blocks fitted together on one split and one SVD: each is its own
+        # ridge fit, with a penalty that scales with the block's width
+        blocks = [tres, tres[:, :2], np.hstack([tres, tres])]
+        for (w, b, history), block in zip(_ridge_fit(xmat, blocks, cfg), blocks):
+            w_ref, b_ref = reference_ridge(xmat, block, cfg)
+            assert close(w, w_ref)
+            assert close(b, b_ref)
+            assert history.train_loss[1] < history.train_loss[0]
 
-def test_train_ensemble_per_mesh_and_deterministic():
+
+def test_train_ensemble_per_mesh_and_deterministic(monkeypatch):
     grid = Grid(8)
     stack = StackedBasis([rasterize(mesh_with_k_triangles(k, Seed(40 + k)), grid)
                           for k in (4, 5, 6)])
-    dataset = [(x, x) for x in random_images(grid, 50, 41)]
+    rng = Seed(43).rng()
+    dataset = [(x, Image(grid, 0.5 * x.values + 0.05 * rng.standard_normal(grid.n_pixels)))
+               for x in random_images(grid, 50, 41)]
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
     cfg = TrainConfig(epochs=15, batch_size=16, seed=Seed(42))
     ests = train_ensemble(dataset, stack, cfg)
+    assert len(svd_calls) == 1  # one split and one SVD for every mesh
     assert len(ests) == 3
     assert [e.fingerprint for e in ests] == [b.fingerprint for b in stack.bases]
     again = train_ensemble(dataset, stack, cfg)
     for e1, e2 in zip(ests, again):
         assert np.array_equal(e1.weight, e2.weight)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+    warm = Image(grid, 0.5 * random_images(grid, 1, 44)[0].values)
+    for weight_decay in (0.0, 1e-3):
+        cfg = TrainConfig(weight_decay=weight_decay, seed=Seed(42))
+        ests = train_ensemble(dataset, stack, cfg)
+        for est, basis in zip(ests, stack.bases):
+            alone = train_estimator(dataset, basis, cfg)
+            assert close(est.weight, alone.weight)
+            assert close(est.bias, alone.bias)
+        q = np.concatenate([estimate_coeffs(e, b, warm) for e, b in zip(ests, stack.bases)])
+        if weight_decay == 0.0:
+            # every map is B_l^T (I + R) for one pixel-space R, so the stacked
+            # coefficients are those of one image; a positive weight decay
+            # scales with K_l and leaves them only close to consistent
+            minnorm_prefixes(stack, q, [3])
 
 
 def test_fingerprint_stability_and_distinctness():
