@@ -29,7 +29,8 @@ import sys
 
 import numpy as np
 
-from .core import FormatError, Grid, Image, Seed, load_image, save_image, write_json
+from .core import (FormatError, Grid, Image, Seed, load_image, pgm16_bytes, read_json,
+                   save_image, write_json)
 from .data import (ShapesConfig, gen_checkerboard, gen_shapes, load_dataset,
                    output_snr, save_dataset, shapes_manifest)
 from .estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
@@ -393,12 +394,13 @@ def _cmd_estimate(cfg):
                           f"got {backend!r}")
     os.makedirs(cfg["out"], exist_ok=True)
     for i, per_mesh in enumerate(rows):
-        for lam, q in enumerate(per_mesh):
-            save_measurement(Measurement(q),
-                             os.path.join(cfg["out"], f"q_{i:05d}_{lam:03d}.csv"))
+        save_measurement(Measurement(np.concatenate(per_mesh)),
+                         os.path.join(cfg["out"], f"q_{i:05d}.csv"))
     _write_manifest(cfg["out"], "estimate", cfg,
-                    {"count": len(rows), "subspaces": len(bases)})
-    print(f"estimated {len(rows)} x {len(bases)} coefficient files to {cfg['out']}")
+                    {"count": len(rows), "subspaces": len(bases),
+                     "fingerprints": [b.fingerprint for b in bases]})
+    print(f"estimated the coefficients of {len(rows)} images on {len(bases)} meshes "
+          f"to {cfg['out']}")
     return EXIT_OK
 
 
@@ -406,54 +408,41 @@ def _cmd_reconstruct(cfg):
     grid = Grid(cfg["grid_side"])
     opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"],
                         tv_weight=cfg["tv_weight"])
-    os.makedirs(cfg["out"], exist_ok=True)
-    results = []
     if cfg["method"] == "recombine":
         _require_dir(cfg["coeffs"], "coeffs")
         _require_dir(cfg["meshes"], "meshes")
-        bases = [rasterize(m, grid) for m in _load_meshes(cfg["meshes"])]
-        stack = StackedBasis(bases)
-        paths = _listed(cfg["coeffs"], ".csv")
-        by_image = {}
-        for path in paths:
-            stem = os.path.basename(path)[:-4]
-            try:
-                _, img_id, lam_id = stem.split("_")
-                by_image.setdefault(int(img_id), {})[int(lam_id)] = path
-            except ValueError:
-                raise FormatError(f"{path}: expected name q_IIIII_LLL.csv") from None
-        for i in sorted(by_image):
-            per_mesh = by_image[i]
-            if sorted(per_mesh) != list(range(len(bases))):
-                raise FormatError(f"{cfg['coeffs']}: image {i} has coefficient files "
-                                  f"for meshes {sorted(per_mesh)}, expected "
-                                  f"0..{len(bases) - 1}")
-            q = []
-            for lam, basis in enumerate(bases):
-                values = load_measurement(per_mesh[lam]).values
-                if values.size != basis.k:
-                    raise FormatError(f"{per_mesh[lam]}: expected {basis.k} coefficients "
-                                      f"for mesh {lam}, got {values.size}")
-                q.append(values)
-            q = np.concatenate(q)
-            res = solve_reformulated(stack, q, opts)
-            save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"),
-                       "f32raw")
-            results.append(res)
+        stack = StackedBasis([rasterize(m, grid) for m in _load_meshes(cfg["meshes"])])
+        made_on = read_json(os.path.join(cfg["coeffs"], "manifest.json")).get("fingerprints")
+        fingerprints = [b.fingerprint for b in stack.bases]
+        if made_on != fingerprints:
+            raise FormatError(f"{cfg['coeffs']}: coefficients estimated on meshes "
+                              f"{made_on}, not on the --meshes stack {fingerprints}")
+        inputs = _listed(cfg["coeffs"], ".csv")
+
+        def solve(path):
+            q = load_measurement(path).values
+            if q.size != stack.total_k:
+                raise FormatError(f"{path}: expected {stack.total_k} coefficients "
+                                  f"(the meshes' total K), got {q.size}")
+            return solve_reformulated(stack, q, opts)
     elif cfg["method"] == "tv-direct":
         if cfg["sensors"] is None:
             raise ConfigError("missing required field 'sensors' for method=tv-direct")
         _require_dir(cfg["measurements"], "measurements")
         rm = build_ray_matrix(place_sensors(cfg["sensors"]), grid)
-        paths = _listed(cfg["measurements"], ".csv")
-        for i, path in enumerate(paths):
-            res = tv_direct(rm, load_measurement(path), opts)
-            save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"),
-                       "f32raw")
-            results.append(res)
+        inputs = _listed(cfg["measurements"], ".csv")
+
+        def solve(path):
+            return tv_direct(rm, load_measurement(path), opts)
     else:
         raise ConfigError(f"field 'method': expected 'recombine' or 'tv-direct', "
                           f"got {cfg['method']!r}")
+    os.makedirs(cfg["out"], exist_ok=True)
+    results = []
+    for i, path in enumerate(inputs):
+        res = solve(path)
+        save_image(res.image, os.path.join(cfg["out"], f"recon_{i:05d}.f32raw"), "f32raw")
+        results.append(res)
     _write_manifest(cfg["out"], "reconstruct", cfg, _solve_record(results))
     print(f"reconstructed {len(results)} images ({cfg['method']}) to {cfg['out']}")
     return EXIT_OK
@@ -490,21 +479,14 @@ def _cmd_kernel_mc(cfg):
 
 
 def _write_panel(mats, path):
-    """Side-by-side 16-bit PGM of equally sized matrices, one separator column."""
-    side = mats[0].shape[0]
-    lo = min(float(m.min()) for m in mats)
-    hi = max(float(m.max()) for m in mats)
-    scale = 65535.0 / (hi - lo) if hi > lo else 0.0
-    sep = np.full((side, 1), 65535, dtype=np.uint16)
-    cols = []
-    for idx, m in enumerate(mats):
-        if idx:
-            cols.append(sep)
-        cols.append(np.round((m - lo) * scale).astype(np.uint16))
-    panel = np.flipud(np.hstack(cols))
+    """Side-by-side 16-bit PGM of equally sized matrices, split by one column
+    at the panel's maximum, so the separators show white."""
+    sep = np.full((mats[0].shape[0], 1), max(float(m.max()) for m in mats))
+    cols = [mats[0]]
+    for m in mats[1:]:
+        cols += [sep, m]
     with open(path, "wb") as fh:
-        fh.write(f"P5 {panel.shape[1]} {panel.shape[0]} 65535\n".encode("ascii"))
-        fh.write(panel.astype(">u2").tobytes())
+        fh.write(pgm16_bytes(np.hstack(cols)))
 
 
 def _cmd_evaluate(cfg):

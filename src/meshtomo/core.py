@@ -81,7 +81,9 @@ class Seed:
 
     Equal (value, stream) pairs reproduce identical draws on one platform.
     Child streams from :meth:`derive` never overlap, so parallel Monte Carlo
-    trials can each take ``seed.derive(trial_index)`` safely.
+    trials can each take ``seed.derive(trial_index)`` safely. A stream fits
+    in 64 bits: three levels of ``derive`` below stream 0 always fit, and a
+    fourth only from a parent stream below 2**44.
     """
 
     value: int = 0
@@ -90,21 +92,28 @@ class Seed:
     def __post_init__(self):
         if not (0 <= int(self.value) < 2**64):
             raise ValueError("seed value must fit in 64 bits")
-        if int(self.stream) < 0:
-            raise ValueError("seed stream must be non-negative")
+        if not (0 <= int(self.stream) < 2**64):
+            raise ValueError("seed stream must be non-negative and fit in 64 bits")
         object.__setattr__(self, "value", int(self.value))
         object.__setattr__(self, "stream", int(self.stream))
 
     def rng(self) -> np.random.Generator:
-        key = np.array([self.value, self.stream % 2**64], dtype=np.uint64)
+        key = np.array([self.value, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, index: int) -> "Seed":
-        """Child seed for sub-task ``index`` (0 <= index < 2**20 - 1)."""
+        """Child seed for sub-task ``index`` (0 <= index < 2**20 - 1).
+
+        The child's stream is the parent's shifted left by 20 bits plus
+        index + 1, so distinct (parent, index) pairs give distinct children.
+        A parent stream of 2**44 or more would push bits past 64 and is
+        rejected rather than wrapped.
+        """
         if not (0 <= index < (1 << _STREAM_BITS) - 1):
             raise ValueError(f"derive index out of range: {index}")
-        child = ((self.stream << _STREAM_BITS) + index + 1) % 2**64
-        return Seed(self.value, child)
+        if self.stream >= 1 << (64 - _STREAM_BITS):
+            raise ValueError(f"seed stream {self.stream} is too deep to derive from")
+        return Seed(self.value, (self.stream << _STREAM_BITS) + index + 1)
 
 
 @dataclass
@@ -253,17 +262,18 @@ def _f32raw_size(header: dict) -> int:
     return side * side
 
 
-def _pgm16_bytes(img: Image) -> bytes:
-    lo = float(img.values.min())
-    hi = float(img.values.max())
+def pgm16_bytes(mat: np.ndarray) -> bytes:
+    """A 2-D array as a binary 16-bit PGM, its values mapped affinely from
+    [min, max] onto [0, 65535] (all 0 when constant). Row 0 of ``mat`` is
+    the smallest y, as in :meth:`Image.as_matrix`, so rows are written last
+    first and viewers show the domain upright."""
+    lo, hi = float(mat.min()), float(mat.max())
     if hi > lo:
-        scaled = np.round((img.values - lo) / (hi - lo) * 65535.0)
+        scaled = np.round((mat - lo) / (hi - lo) * 65535.0)
     else:
-        scaled = np.zeros_like(img.values)
-    # Write rows top-to-bottom (largest y first) so viewers show the domain upright.
-    data = scaled.astype(">u2").reshape(img.grid.side, img.grid.side)[::-1]
-    header = f"P5\n{img.grid.side} {img.grid.side}\n65535\n"
-    return header.encode("ascii") + data.tobytes()
+        scaled = np.zeros_like(mat)
+    header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n65535\n"
+    return header.encode("ascii") + scaled[::-1].astype(">u2").tobytes()
 
 
 def save_image(img: Image, path, fmt: str) -> None:
@@ -271,80 +281,25 @@ def save_image(img: Image, path, fmt: str) -> None:
 
     f32raw is a one-line JSON header {"side":n,"dtype":"f32le"} followed by
     n*n little-endian float32 values; it round-trips float32-representable data
-    exactly. pgm16 is a binary 16-bit PGM with values affinely mapped from
-    [min, max] onto [0, 65535], intended for human inspection.
+    exactly. pgm16 is a binary 16-bit PGM (:func:`pgm16_bytes`), for viewing
+    only: :func:`load_image` does not read it.
     """
     if fmt == "f32raw":
         blob = pack_f32({"side": img.grid.side, "dtype": "f32le"}, img.values)
     elif fmt == "pgm16":
-        blob = _pgm16_bytes(img)
+        blob = pgm16_bytes(img.as_matrix())
     else:
         raise ValueError(f"unknown image format {fmt!r}; expected 'f32raw' or 'pgm16'")
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
-def _pgm_tokens(blob: bytes, count: int):
-    """First ``count`` whitespace-separated header tokens, skipping # comments.
-
-    Returns (tokens, offset_of_payload). The payload starts one whitespace
-    byte after the last token, per the PGM convention.
-    """
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(blob):
-            raise FormatError("truncated header")
-        ch = blob[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = blob.find(b"\n", pos)
-            pos = len(blob) if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end : end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end])
-            pos = end
-    if pos >= len(blob) or not blob[pos : pos + 1].isspace():
-        raise FormatError("header not terminated by whitespace")
-    return tokens, pos + 1
-
-
-def _load_pgm16(blob: bytes, path) -> Image:
-    try:
-        (magic, w, h, maxval), offset = _pgm_tokens(blob, 4)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if magic != b"P5":
-        raise FormatError(f"{path}: magic must be P5, got {magic!r}")
-    try:
-        w, h, maxval = int(w), int(h), int(maxval)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer header field: {exc}") from exc
-    if w != h:
-        raise FormatError(f"{path}: width {w} != height {h}; only square grids supported")
-    if maxval != 65535:
-        raise FormatError(f"{path}: maxval must be 65535, got {maxval}")
-    payload = blob[offset:]
-    expected = 2 * w * h
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} for side {w}"
-        )
-    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)[::-1]
-    values = raw.astype(np.float64).ravel() / 65535.0
-    return Image(Grid(w), values)
-
-
 def load_image(path) -> Image:
-    """Read an image saved by :func:`save_image`, detecting the format by magic."""
+    """Read an f32raw image saved by :func:`save_image`. A PGM is a rescaled,
+    quantised picture for viewing, so it is never read back."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob.startswith(b"P5"):
-        return _load_pgm16(blob, path)
-    if blob.startswith(b"{"):
-        header, values = unpack_f32(blob, path, _f32raw_size)
-        return Image(Grid(header["side"]), values)
-    raise FormatError(f"{path}: unrecognized image file (expected P5 or JSON header)")
+    if not blob.startswith(b"{"):
+        raise FormatError(f"{path}: unrecognized image file (expected an f32raw JSON header)")
+    header, values = unpack_f32(blob, path, _f32raw_size)
+    return Image(Grid(header["side"]), values)

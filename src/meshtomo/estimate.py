@@ -243,10 +243,14 @@ def estimate_coeffs(est: Estimator, basis: SubspaceBasis, y_warm: Image) -> np.n
 
 
 def _ridge_fit(xmat, blocks, cfg):
-    """Exact affine ridge fit of each (J, K_l) target block T_l by xmat.
+    """Exact affine ridge fit of each (J, ..., K_l) target block T_l by xmat.
 
-    Minimises mean((X W^T + b - T_l)^2) + weight_decay * ||W||^2 over the
-    train rows, with the bias unpenalised. Centring X and T_l on the train
+    The first axis of xmat and of every block indexes the J samples the
+    seeded train/validation split draws from. A sample may hold several rows
+    (a 3-D array); the rows are laid out after the split, so all of a
+    sample's rows fall in one split. Minimises
+    mean((X W^T + b - T_l)^2) + weight_decay * ||W||^2 over the train rows,
+    with the bias unpenalised. Centring X and T_l on the train
     rows removes the bias, and multiplying through by T_l's train size gives
     ||X_c W^T - T_c||^2 + lam_l ||W||^2, lam_l = weight_decay * (rows * K_l).
     One seeded train/validation split and one thin SVD X_c = U S V^T serve
@@ -262,19 +266,24 @@ def _ridge_fit(xmat, blocks, cfg):
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         raise ValueError("no training samples left after the validation split")
-    x_tr = xmat[train_idx]
+
+    def rows(a, idx):
+        return a[idx].reshape(-1, a.shape[-1])
+
+    x_tr = rows(xmat, train_idx)
     x_mean = x_tr.mean(axis=0)
     u, s, vt = np.linalg.svd(x_tr - x_mean, full_matrices=False)
     keep = s > s[0] * max(x_tr.shape) * np.finfo(np.float64).eps
     u, s, vt = u[:, keep], s[keep], vt[keep]
     fits = []
     for tmat in blocks:
-        t_tr = tmat[train_idx]
+        t_tr = rows(tmat, train_idx)
         t_mean = t_tr.mean(axis=0)
         gain = s / (s ** 2 + cfg.weight_decay * t_tr.size)
         wt = vt.T @ (gain[:, None] * (u.T @ (t_tr - t_mean)))
         b = t_mean - x_mean @ wt
-        losses = [[np.mean(tmat[idx] ** 2), np.mean((xmat[idx] @ wt + b - tmat[idx]) ** 2)]
+        losses = [[np.mean(rows(tmat, idx) ** 2),
+                   np.mean((rows(xmat, idx) @ wt + b - rows(tmat, idx)) ** 2)]
                   if idx.size else [np.nan, np.nan] for idx in (train_idx, val_idx)]
         fits.append((wt.T, b, TrainHistory(*map(np.array, losses))))
     return fits
@@ -288,7 +297,7 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
     the one-mesh case of :func:`train_ensemble`. shared-pooled accepts a
     SubspaceBasis or a StackedBasis, pools the per-triangle feature rows of
     every member basis and fits them as one block of :func:`_ridge_fit`; its
-    split is drawn over those rows.
+    split is drawn over images, each image one sample of all its rows.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -300,9 +309,11 @@ def train_estimator(dataset, basis, cfg: TrainConfig, kind: str = "per-mesh-affi
                              "use train_ensemble for a stacked basis")
         return train_ensemble(dataset, StackedBasis([basis]), cfg)[0]
     bases = basis.bases if isinstance(basis, StackedBasis) else [basis]
-    rows = [(x, warm, bb) for x, warm in dataset for bb in bases]
-    xmat = np.concatenate([pooled_features(bb, warm.values) for _, warm, bb in rows])
-    tmat = np.concatenate([oracle_coeffs(bb, x) for x, _, bb in rows])[:, None]
+    # (images, sum K, 5) features and (images, sum K, 1) targets
+    xmat = np.stack([np.concatenate([pooled_features(bb, warm.values) for bb in bases])
+                     for _, warm in dataset])
+    tmat = np.stack([np.concatenate([oracle_coeffs(bb, x) for bb in bases])
+                     for x, _ in dataset])[..., None]
     [(w, b, history)] = _ridge_fit(xmat, [tmat], cfg)
     return Estimator(kind, w.ravel(), b, "", history)
 

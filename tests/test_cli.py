@@ -11,7 +11,9 @@ from meshtomo import cli, kernel
 from meshtomo.cli import main
 from meshtomo.core import Grid, Image, load_image, save_image
 from meshtomo.data import load_dataset, output_snr
+from meshtomo.estimate import estimate_coeffs, load_estimator
 from meshtomo.kernel import load_radial_profile
+from meshtomo.mesh import load_mesh, rasterize
 from meshtomo.solve import SolveOptions, nnls, tv_direct
 from meshtomo.tomo import build_ray_matrix, load_measurement, place_sensors
 
@@ -75,8 +77,7 @@ def test_pipeline_file_layout(pipe):
     assert sorted(p.name for p in pipe["est"].iterdir()) == \
         ["estimator_000.est", "estimator_001.est", "manifest.json"]
     q_names = sorted(p.name for p in pipe["q_oracle"].iterdir())
-    assert q_names == ["manifest.json"] + \
-        [f"q_{i:05d}_{lam:03d}.csv" for i in range(6) for lam in range(2)]
+    assert q_names == ["manifest.json"] + [f"q_{i:05d}.csv" for i in range(6)]
     assert sorted(p.name for p in pipe["recon_sub"].iterdir()) == \
         ["manifest.json"] + [f"recon_{i:05d}.f32raw" for i in range(6)]
 
@@ -155,7 +156,10 @@ def test_evaluate_report(pipe):
     panels = sorted(p.name for p in pipe["eval"].iterdir() if p.suffix == ".pgm")
     assert panels == [f"panel_{i:05d}.pgm" for i in range(6)]
     first = (pipe["eval"] / "panel_00000.pgm").read_bytes()
-    assert first.startswith(b"P5 38 12 65535\n")  # three 12-wide tiles + 2 separators
+    assert first.startswith(b"P5\n38 12\n65535\n")  # three 12-wide tiles + 2 separators
+    # the separator columns sit at the panel's maximum
+    panel = np.frombuffer(first[len(b"P5\n38 12\n65535\n"):], dtype=">u2").reshape(12, 38)
+    assert (panel[:, [12, 25]] == 65535).all()
     man = json.loads((pipe["eval"] / "manifest.json").read_text())
     assert set(man["mean_snr_db"]) == {"sub", "tv"}
 
@@ -339,27 +343,21 @@ def test_missing_input_exit_codes(pipe, tmp_path, capsys):
                "--grid-side", 12, "--out", tmp_path / "b") == 3
     assert run("evaluate", "--data", pipe["data"],
                "--recon", f"x={tmp_path / 'ghost2'}", "--out", tmp_path / "c") == 3
-    broken = tmp_path / "broken-q"
-    shutil.copytree(pipe["q_oracle"], broken)
-    (broken / "q_00002_001.csv").unlink()
-    assert run("reconstruct", "--method", "recombine", "--coeffs", broken,
-               "--meshes", pipe["meshes"], "--grid-side", 12,
-               "--out", tmp_path / "d") == 3
-    # one coefficient moved from mesh 1's file to mesh 0's keeps the total;
-    # one dropped shortens it: each file is checked against its mesh's K
-    for i, move in enumerate((True, False)):
-        shifted = tmp_path / f"shifted-q{i}"
-        shutil.copytree(pipe["q_oracle"], shifted)
-        first, second = shifted / "q_00000_000.csv", shifted / "q_00000_001.csv"
-        lines = second.read_text().splitlines(keepends=True)
-        second.write_text("".join(lines[:-1]))
-        if move:
-            first.write_text(first.read_text() + lines[-1])
-        assert run("reconstruct", "--method", "recombine", "--coeffs", shifted,
+    # a coefficient file one value short or long of the meshes' total K = 16
+    for i, change in enumerate((lambda lines: lines[:-1], lambda lines: lines + lines[-1:])):
+        bad_q = tmp_path / f"bad-q{i}"
+        shutil.copytree(pipe["q_oracle"], bad_q)
+        target = bad_q / "q_00002.csv"
+        target.write_text("".join(change(target.read_text().splitlines(keepends=True))))
+        assert run("reconstruct", "--method", "recombine", "--coeffs", bad_q,
                    "--meshes", pipe["meshes"], "--grid-side", 12,
-                   "--out", tmp_path / f"s{i}") == 3
-        bad = first if move else second
-        assert f"{bad}: expected 8 coefficients for mesh {int(not move)}" in capsys.readouterr().err
+                   "--out", tmp_path / f"d{i}") == 3
+        assert f"{target}: expected 16 coefficients" in capsys.readouterr().err
+    no_manifest = tmp_path / "no-manifest-q"
+    shutil.copytree(pipe["q_oracle"], no_manifest)
+    (no_manifest / "manifest.json").unlink()
+    assert run("reconstruct", "--method", "recombine", "--coeffs", no_manifest,
+               "--meshes", pipe["meshes"], "--grid-side", 12, "--out", tmp_path / "m") == 3
     half = tmp_path / "half-mesh"
     half.mkdir()
     (half / "mesh_000.json").write_text(json.dumps(
@@ -429,6 +427,52 @@ def test_malformed_estimator_file_exits_3(pipe, tmp_path):
         assert run("estimate", "--backend", "learned", "--meshes", pipe["meshes"],
                    "--grid-side", 12, "--warm", pipe["warm"], "--estimators", est_dir,
                    "--out", tmp_path / f"q{i}") == 3, fields
+
+
+def grid12_bases(mesh_dir):
+    return [rasterize(load_mesh(p), Grid(12)) for p in sorted(mesh_dir.glob("mesh_*.json"))]
+
+
+def test_shared_pooled_pipeline(pipe, tmp_path):
+    est_dir, q_dir = tmp_path / "est-pooled", tmp_path / "q-pooled"
+    assert run("train", "--data", pipe["data"], "--warm", pipe["warm"],
+               "--meshes", pipe["meshes"], "--grid-side", 12,
+               "--estimator-kind", "shared-pooled", "--seed", 11, "--out", est_dir) == 0
+    assert sorted(p.name for p in est_dir.iterdir()) == ["estimator_000.est", "manifest.json"]
+    man = json.loads((est_dir / "manifest.json").read_text())
+    assert man["count"] == 1 and len(man["final_val_loss"]) == 1
+    # the one estimator serves every mesh; one stacked file per image
+    assert run("estimate", "--backend", "learned", "--meshes", pipe["meshes"],
+               "--grid-side", 12, "--warm", pipe["warm"], "--estimators", est_dir,
+               "--out", q_dir) == 0
+    est = load_estimator(est_dir / "estimator_000.est")
+    bases = grid12_bases(pipe["meshes"])
+    for i in range(6):
+        warm = load_image(pipe["warm"] / f"warm_{i:05d}.f32raw")
+        q = load_measurement(q_dir / f"q_{i:05d}.csv").values
+        assert np.array_equal(q, np.concatenate([estimate_coeffs(est, b, warm)
+                                                 for b in bases]))
+    assert run("reconstruct", "--method", "recombine", "--coeffs", q_dir,
+               "--meshes", pipe["meshes"], "--grid-side", 12, "--max-iters", 50,
+               "--out", tmp_path / "recon") == 0
+    assert len(list((tmp_path / "recon").glob("recon_*.f32raw"))) == 6
+
+
+def test_recombine_on_other_meshes_exits_3(pipe, tmp_path, capsys):
+    # meshes from another seed with the same triangle counts: every K
+    # matches, but the coefficients were estimated on the fixture's meshes
+    other = tmp_path / "other-meshes"
+    assert run("gen-mesh", "--triangles", 8, "--subspaces", 2, "--seed", 12,
+               "--out", other) == 0
+    ours, theirs = grid12_bases(pipe["meshes"]), grid12_bases(other)
+    assert [b.k for b in ours] == [b.k for b in theirs]
+    assert run("reconstruct", "--method", "recombine", "--coeffs", pipe["q_oracle"],
+               "--meshes", other, "--grid-side", 12, "--out", tmp_path / "a") == 3
+    assert "not on the --meshes stack" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    # the manifest's list is in --meshes file order
+    man = json.loads((pipe["q_oracle"] / "manifest.json").read_text())
+    assert man["fingerprints"] == [b.fingerprint for b in ours]
 
 
 def test_learned_estimator_count_mismatch(pipe, tmp_path):

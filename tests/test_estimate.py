@@ -322,10 +322,13 @@ def test_training_is_deterministic():
 
 
 def reference_ridge(xmat, tmat, cfg):
-    """Ridge fit on the seeded train rows by lstsq on [X_c; sqrt(lam) I] W = [T_c; 0]."""
+    """Ridge fit on the seeded train samples by lstsq on [X_c; sqrt(lam) I] W = [T_c; 0].
+
+    The split is drawn over the first axis; a 3-D sample's rows stay together.
+    """
     n = xmat.shape[0]
     train = cfg.seed.rng().permutation(n)[int(round(cfg.validation_fraction * n)):]
-    x, t = xmat[train], tmat[train]
+    x, t = (a[train].reshape(-1, a.shape[-1]) for a in (xmat, tmat))
     xc, tc = x - x.mean(axis=0), t - t.mean(axis=0)
     lam = cfg.weight_decay * t.size
     aug_x = np.vstack([xc, np.sqrt(lam) * np.eye(x.shape[1])])
@@ -348,10 +351,11 @@ def test_ridge_fit_matches_lstsq_reference():
     tres = np.stack([oracle_coeffs(basis, x) for x, _ in dataset]) - xmat @ bt.T
     stack = StackedBasis([rasterize(mesh_with_k_triangles(k, Seed(20 + k)), grid)
                           for k in (5, 7)])
-    pooled_x = np.concatenate([pooled_features(b, w.values)
-                               for _, w in dataset for b in stack.bases])
-    pooled_t = np.concatenate([oracle_coeffs(b, x)
-                               for x, _ in dataset for b in stack.bases])[:, None]
+    # the pooled fit splits over images: one (sum K, 5) sample per image
+    pooled_x = np.stack([np.concatenate([pooled_features(b, w.values) for b in stack.bases])
+                         for _, w in dataset])
+    pooled_t = np.stack([np.concatenate([oracle_coeffs(b, x) for b in stack.bases])
+                         for x, _ in dataset])[..., None]
 
     def close(a, b):
         return np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
@@ -378,6 +382,32 @@ def test_ridge_fit_matches_lstsq_reference():
             assert close(w, w_ref)
             assert close(b, b_ref)
             assert history.train_loss[1] < history.train_loss[0]
+
+
+def test_pooled_split_keeps_each_image_in_one_split():
+    grid = Grid(8)
+    stack = StackedBasis([rasterize(mesh_with_k_triangles(k, Seed(20 + k)), grid)
+                          for k in (5, 7)])
+    dataset = [(x, Image(grid, 0.5 * x.values)) for x in random_images(grid, 20, 37)]
+    cfg = TrainConfig(validation_fraction=0.25, seed=Seed(38))
+    val = set(cfg.seed.rng().permutation(len(dataset))[:5].tolist())
+
+    def fit(changed):
+        # the truths of the images in ``changed`` replaced by their negatives
+        data = [(Image(grid, -x.values) if i in changed else x, warm)
+                for i, (x, warm) in enumerate(dataset)]
+        return train_estimator(data, stack, cfg, kind="shared-pooled")
+
+    base = fit(set())
+    # no row of a validation image enters the fit; its loss scores them
+    held = fit(val)
+    assert np.array_equal(held.weight, base.weight)
+    assert np.array_equal(held.bias, base.bias)
+    assert np.array_equal(held.history.train_loss, base.history.train_loss)
+    assert held.history.val_loss[1] > base.history.val_loss[1]
+    # every training image's rows do
+    for i in sorted(set(range(len(dataset))) - val):
+        assert not np.array_equal(fit({i}).weight, base.weight), i
 
 
 def test_train_ensemble_per_mesh_and_deterministic(monkeypatch):
