@@ -460,6 +460,20 @@ class StackedBasis:
         return b, b.T.tocsr()
 
     @cached_property
+    def tv_operator(self) -> tuple:
+        """Chambolle-Pock's operator for recombination on this stack, built on first use and kept.
+
+        The bound products of K = [B^T; D] and K^T, D the grid's forward
+        differences, and the step 0.99 / ||K|| (``solve._tv_operator``). They
+        depend on the stack alone, so every recombination after the first
+        skips the K build and the power iteration (about 2.6 ms for 50
+        meshes of 50 triangles on 32 x 32).
+        """
+        from .solve import _tv_operator  # solve imports this module
+
+        return _tv_operator(self.csr_pair[1], self.grid.side)
+
+    @cached_property
     def _gram_eig(self) -> tuple:
         """(pixel_side, vectors, inverse eigenvalues) of the smaller Gram matrix.
 

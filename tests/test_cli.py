@@ -402,6 +402,14 @@ def test_numeric_failure_exit_code(pipe, tmp_path):
     assert run("estimate", "--backend", "oblique", "--meshes", pipe["meshes"],
                "--grid-side", 12, "--measurements", pipe["meas"], "--sensors", 2,
                "--out", tmp_path / "a") == 4
+    # with every ray erased no solver has an operator to step on
+    assert run("corrupt", "--measurements", pipe["meas"], "--erasure-p", 1.0, "--seed", 3,
+               "--out", tmp_path / "erased") == 0
+    assert run("nnls", "--measurements", tmp_path / "erased", "--sensors", 10,
+               "--grid-side", 12, "--out", tmp_path / "b") == 4
+    assert run("reconstruct", "--method", "tv-direct", "--measurements", tmp_path / "erased",
+               "--sensors", 10, "--grid-side", 12, "--tv-weight", 0.05,
+               "--out", tmp_path / "c") == 4
 
 
 def test_oblique_consistency_failure_exits_4(pipe, tmp_path, inflated_svd):

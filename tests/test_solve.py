@@ -551,27 +551,34 @@ def test_tv_direct_and_nnls_match_reference_loops():
     assert restarts >= 1
 
 
-class CountingOp:
-    """A matrix that counts its products."""
+def _count_products(monkeypatch):
+    """Route solve._product through a wrapper; returns one call counter per bound operator."""
+    counters = []
+    bind = solve._product
 
-    def __init__(self, mat):
-        self.mat = mat
-        self.shape = mat.shape
-        self.calls = 0
+    def counted(mat):
+        product = bind(mat)
+        calls = [0]
+        counters.append(calls)
 
-    def __matmul__(self, v):
-        self.calls += 1
-        return self.mat @ v
+        def wrapped(v):
+            calls[0] += 1
+            return product(v)
+
+        return wrapped
+
+    monkeypatch.setattr(solve, "_product", counted)
+    return counters
 
 
-def _count_power_norm_products(monkeypatch, ops):
+def _count_power_norm_products(monkeypatch, counters):
     """Route solve.power_norm through a wrapper; returns the products it makes."""
     spent = [0]
 
     def counted(*args, **kwargs):
-        before = sum(op.calls for op in ops)
+        before = sum(c[0] for c in counters)
         out = power_norm(*args, **kwargs)
-        spent[0] += sum(op.calls for op in ops) - before
+        spent[0] += sum(c[0] for c in counters) - before
         return out
 
     monkeypatch.setattr(solve, "power_norm", counted)
@@ -582,24 +589,17 @@ def test_chambolle_pock_two_products_per_iteration(monkeypatch):
     grid = Grid(16)
     rm = build_ray_matrix(place_sensors(12), grid)
     y = forward(rm, gen_shapes(ShapesConfig(1, 16, seed=Seed(31)))[0])
-    ops = []
-    build = solve._stacked_operator
-
-    def counted_build(data_mat, side):
-        ops.extend(CountingOp(op) for op in build(data_mat, side))
-        return tuple(ops)
-
-    monkeypatch.setattr(solve, "_stacked_operator", counted_build)
-    spent = _count_power_norm_products(monkeypatch, ops)
+    counters = _count_products(monkeypatch)
+    operator = solve._tv_operator(rm.matrix, grid.side)
+    k, k_t = counters
+    built = (k[0], k_t[0])
+    assert built[0] > 0 and built[0] == built[1]  # power_norm applies K and K^T in pairs
     x0 = np.full(grid.n_pixels, 0.5)
-    res = _chambolle_pock(rm.matrix, y.values, grid,
-                          SolveOptions(tv_weight=2e-4, max_iters=50), x0)
-    assert res.iterations == 50 and spent[0] > 0
-    # power_norm applies K and K^T in pairs; the loop applies K once for the
-    # start's K x, then K and K^T once each per iteration
-    k, kt = ops
-    assert k.calls - spent[0] // 2 <= res.iterations + 1
-    assert kt.calls - spent[0] // 2 <= res.iterations
+    res = _chambolle_pock(operator, y.values, grid, SolveOptions(tv_weight=2e-4, max_iters=50), x0)
+    # the start's K x, then K and K^T once each per iteration
+    assert res.iterations == 50 and len(counters) == 2
+    assert k[0] - built[0] == res.iterations + 1
+    assert k_t[0] - built[1] == res.iterations
 
 
 def test_stacked_operator_blocks_and_adjoint():
@@ -628,10 +628,75 @@ def test_fista_two_products_per_iteration(monkeypatch):
     opts = SolveOptions(max_iters=300)
     ref, restarts = reference_fista(rm.matrix, y.values, grid, opts)
     assert restarts >= 1
-    mat, mat_t = CountingOp(rm.matrix), CountingOp(rm.matrix.T)
-    spent = _count_power_norm_products(monkeypatch, (mat, mat_t))
-    res = _fista(mat, mat_t, y.values, grid, opts)
+    counters = _count_products(monkeypatch)
+    spent = _count_power_norm_products(monkeypatch, counters)
+    res = _fista(rm.matrix, rm.matrix.T, y.values, grid, opts)
     assert_same_solve(res, ref)
-    assert spent[0] > 0
-    # the start's A x, two products per iteration and two per restart
-    assert mat.calls + mat_t.calls - spent[0] <= 1 + 2 * res.iterations + 2 * restarts
+    a, a_t = counters
+    assert spent[0] > 0 and len(counters) == 2
+    # power_norm applies A and A^T in pairs; the loop applies A once for the
+    # start's A x, then A and A^T once each per iteration and once more each
+    # per restart
+    loop_a, loop_a_t = a[0] - spent[0] // 2, a_t[0] - spent[0] // 2
+    assert loop_a == loop_a_t + 1
+    assert res.iterations <= loop_a_t <= res.iterations + restarts
+
+
+def test_recombination_operator_built_once_per_stack(monkeypatch):
+    grid = Grid(12)
+    stack = make_stack(grid, [30] * 6, 260)
+    q = stack.coeffs(Image(grid, Seed(26).rng().uniform(0, 1, grid.n_pixels)))
+    builds = []
+    build = solve._stacked_operator
+
+    def counted_build(data_mat, side):
+        builds.append(data_mat.shape)
+        return build(data_mat, side)
+
+    monkeypatch.setattr(solve, "_stacked_operator", counted_build)
+    counters = _count_products(monkeypatch)
+    spent = _count_power_norm_products(monkeypatch, counters)
+    opts = SolveOptions(tv_weight=0.03, max_iters=5)
+    first = solve_reformulated(stack, q, opts)
+    assert builds == [(stack.total_k, grid.n_pixels)] and spent[0] > 0
+    assert "tv_operator" in vars(stack)
+    after_first = spent[0]
+    for _ in range(2):
+        again = solve_reformulated(stack, q, opts)
+        assert np.array_equal(again.image.values, first.image.values)
+        assert np.array_equal(again.objectives, first.objectives)
+    # no second K build, no second power iteration, no new bound operator
+    assert len(builds) == 1 and spent[0] == after_first and len(counters) == 2
+
+
+def test_product_is_bitwise_matmul():
+    rng = Seed(41).rng()
+    rm = build_ray_matrix(place_sensors(12), Grid(16))
+    a = rm.matrix.tocsr()
+    wide = a.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    unsorted = a.copy()
+    for lo, hi in zip(unsorted.indptr[:-1], unsorted.indptr[1:]):
+        unsorted.indices[lo:hi] = unsorted.indices[lo:hi][::-1].copy()
+        unsorted.data[lo:hi] = unsorted.data[lo:hi][::-1].copy()
+    unsorted.has_sorted_indices = False
+    empty = a[np.zeros(a.shape[0], dtype=bool)]
+    assert a.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+    cases = [a, wide, unsorted, a.T, a.tocsc(), empty, empty.T, a.toarray()]
+    for mat in cases:
+        for v in (rng.standard_normal(mat.shape[1]), rng.standard_normal(2 * mat.shape[1])[::2]):
+            got, want = solve._product(mat)(v), mat @ v
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            solve._product(mat)(np.zeros(mat.shape[1] + 1))
+
+
+def test_every_ray_erased_raises():
+    grid = Grid(8)
+    rm = build_ray_matrix(place_sensors(7), grid)
+    y = erase(forward(rm, Image(grid, np.full(grid.n_pixels, 0.5))), 1.0, Seed(3))
+    assert y.mask.all()
+    for call in (lambda: nnls(rm, y), lambda: tv_direct(rm, y, SolveOptions(tv_weight=1e-3)),
+                 lambda: tv_direct(rm, y)):
+        with pytest.raises(SolverError, match=r"^operator is zero; no step size exists$"):
+            call()
