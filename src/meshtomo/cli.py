@@ -29,19 +29,21 @@ import sys
 
 import numpy as np
 
-from .core import (FormatError, Grid, Image, Seed, load_image, pgm16_bytes, read_json,
-                   save_image, write_json)
+from .core import (FormatError, Grid, Image, Seed, SolverError, load_image, pgm16_bytes,
+                   read_json, save_image, write_json)
 from .data import (ShapesConfig, gen_checkerboard, gen_shapes, load_dataset,
                    output_snr, save_dataset, shapes_manifest)
 from .estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
                        load_estimator, oblique_coeffs, oracle_coeffs,
                        save_estimator, train_ensemble, train_estimator)
-from .kernel import mc_expected_recon, save_radial_profile
 from .mesh import (StackedBasis, load_mesh, mesh_with_k_triangles, rasterize,
                    save_mesh)
-from .solve import SolveOptions, SolverError, nnls, solve_reformulated, tv_direct
 from .tomo import (Measurement, add_gaussian_noise, build_ray_matrix, erase,
                    forward, load_measurement, place_sensors, save_measurement)
+
+# The solve and kernel modules load scipy.sparse at import, so only the
+# handlers that run them import them (_cmd_nnls, _cmd_reconstruct,
+# _cmd_kernel_mc): the other commands start without SciPy.
 
 __all__ = ["main"]
 
@@ -307,6 +309,8 @@ def _solve_record(results):
 
 
 def _cmd_nnls(cfg):
+    from .solve import SolveOptions, nnls
+
     _require_dir(cfg["measurements"], "measurements")
     paths = _listed(cfg["measurements"], ".csv")
     rm = build_ray_matrix(place_sensors(cfg["sensors"]), Grid(cfg["grid_side"]))
@@ -405,6 +409,8 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_reconstruct(cfg):
+    from .solve import SolveOptions, solve_reformulated, tv_direct
+
     grid = Grid(cfg["grid_side"])
     opts = SolveOptions(max_iters=cfg["max_iters"], tol=cfg["tol"],
                         tv_weight=cfg["tv_weight"])
@@ -449,6 +455,8 @@ def _cmd_reconstruct(cfg):
 
 
 def _cmd_kernel_mc(cfg):
+    from .kernel import mc_expected_recon, save_radial_profile
+
     grid = Grid(cfg["grid_side"])
     if cfg["pixel"] == "center":
         i = j = grid.side // 2

@@ -1,6 +1,7 @@
 """Pixel grids, images on the unit square, deterministic seeding, image I/O,
-and the three containers of every file format: an ASCII JSON document, an
-ASCII CSV table, and a JSON header line followed by little-endian float32.
+the package's two error types (a malformed file, a failed solve), and the
+three containers of every file format: an ASCII JSON document, an ASCII CSV
+table, and a JSON header line followed by little-endian float32.
 
 Geometry convention: the image domain is the unit square [0,1]^2. A square
 grid of ``side`` x ``side`` pixels stores values row-major, with pixel (i, j)
@@ -22,6 +23,7 @@ __all__ = [
     "Grid",
     "Image",
     "Seed",
+    "SolverError",
     "load_image",
     "pixel_centers",
     "save_image",
@@ -30,6 +32,10 @@ __all__ = [
 
 class FormatError(ValueError):
     """A file does not match its declared on-disk format."""
+
+
+class SolverError(RuntimeError):
+    """An iterative solver diverged, or minimum-norm coefficients were inconsistent."""
 
 
 @functools.lru_cache(maxsize=32)

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .core import FormatError, Image, Seed, pack_f32, unpack_f32
+from .core import FormatError, Image, Seed, SolverError, pack_f32, unpack_f32
 from .mesh import StackedBasis, SubspaceBasis
-from .solve import SolverError
 from .tomo import Measurement, RayMatrix
 
 __all__ = [
@@ -75,6 +73,10 @@ def build_oblique(a, basis) -> ObliqueOperator:
     N x K matrix for test harnesses). Raises ValueError if A B is column-rank
     deficient, and SolverError if C A B departs from I_K by more than 1e-8.
     """
+    # Imported here rather than at module top: the CLI imports this module,
+    # and its oracle and learned estimates start without loading SciPy.
+    from scipy import sparse
+
     a_mat = a.matrix if isinstance(a, RayMatrix) else (
         a if sparse.issparse(a) else np.asarray(a, dtype=np.float64))
     b_mat = (basis.to_sparse() if isinstance(basis, SubspaceBasis)

@@ -26,9 +26,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import FormatError, Grid, Image, Seed, read_table, write_table
+from .core import Grid, Image, Seed, SolverError, write_table
 from .mesh import StackedBasis, mesh_with_k_triangles, rasterize
-from .solve import SolverError, minnorm_prefixes
+from .solve import minnorm_prefixes
 
 __all__ = [
     "ConvolutionReport",
@@ -37,7 +37,6 @@ __all__ = [
     "RadialBin",
     "convolution_consistency",
     "isotropy_check",
-    "load_radial_profile",
     "mc_expected_recon",
     "mc_kernel_sweep",
     "profile_half_width",
@@ -451,11 +450,3 @@ def save_radial_profile(profile, path) -> None:
     """CSV with columns radius,mean,std,n."""
     write_table(path, _PROFILE_COLUMNS, ((b.radius, b.mean, b.std, b.n) for b in profile))
 
-
-def load_radial_profile(path) -> list:
-    out = []
-    for lineno, (radius, mean, std, n) in read_table(path, _PROFILE_COLUMNS):
-        if radius < 0 or std < 0 or n < 1:
-            raise FormatError(f"{path}:{lineno}: need radius >= 0, std >= 0 and n >= 1")
-        out.append(RadialBin(radius, mean, std, n))
-    return out

@@ -21,9 +21,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .core import FormatError, Grid, Image, Seed, read_json
 
@@ -39,6 +39,9 @@ __all__ = [
     "rasterize",
     "save_mesh",
 ]
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
@@ -439,6 +442,11 @@ class StackedBasis:
         entry per mesh, in mesh order: column offset_l + assignment_l[p] with
         value 1/sqrt(count). The column indices of each row are sorted.
         """
+        # Imported here rather than at module top, as scipy.spatial is in
+        # delaunay_triangulate: the CLI commands that only rasterize start
+        # without loading SciPy.
+        from scipy import sparse
+
         n, n_meshes = self.grid.n_pixels, len(self.bases)
         indices = np.empty((n, n_meshes), dtype=np.int64)
         data = np.empty((n, n_meshes))

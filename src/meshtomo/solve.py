@@ -7,10 +7,12 @@ from a fixed internal seed, and no other randomness is used.
 The iterative loops make thousands of small products (8-12 us each for a
 300-ray matrix at 32 x 32), so their speed is set by per-product overhead.
 Each solve binds every sparse operator once (:func:`_product`) to scipy's
-compiled CSR kernel, and works on its vectors in place. A stack's
-Chambolle-Pock operator and step are built once and kept on the stack
-(:attr:`StackedBasis.tv_operator`). Every result is bitwise what
-``mat @ v`` and fresh temporaries give.
+compiled CSR kernel, and works on its vectors in place. A stack keeps its
+Chambolle-Pock operator and step (:attr:`StackedBasis.tv_operator`), and a
+RayMatrix keeps those of FISTA and direct TV on all its rows
+(:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`), each
+built on first use. Every result is bitwise what ``mat @ v`` and fresh
+temporaries give.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .core import Grid, Image, Seed
+from .core import Grid, Image, Seed, SolverError
 from .mesh import StackedBasis, SubspaceBasis
 from .tomo import Measurement, RayMatrix
 
@@ -44,10 +46,6 @@ _POWER_SEED = Seed(0x5EED)
 # every iterate is clipped to this box: every phantom's values lie in it
 _BOX = (0.0, 1.0)
 _MINNORM_TOL = 1e-8
-
-
-class SolverError(RuntimeError):
-    """An iterative solver diverged, or minimum-norm coefficients were inconsistent."""
 
 
 @dataclass
@@ -104,7 +102,13 @@ def power_norm(apply_normal, n: int) -> float:
 
 
 def _coerce_system(a, y):
-    """Normalize (operator, data) inputs to (A, A^T, values, grid), erased rows dropped."""
+    """Normalize (operator, data) inputs to (system, values, grid), erased rows dropped.
+
+    The system is ``a`` itself when ``a`` is a RayMatrix and no row is
+    erased, so that its kept solver operators serve the solve
+    (:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`); else
+    it is the matrix of the kept rows.
+    """
     if isinstance(a, RayMatrix):
         mat, grid = a.matrix, a.grid
     else:
@@ -122,9 +126,8 @@ def _coerce_system(a, y):
     if values.size != mat.shape[0]:
         raise ValueError(f"operator has {mat.shape[0]} rows but y has {values.size}")
     if mask.any():
-        mat, values = mat[~mask], values[~mask]
-    mat_t = mat.T if sparse.issparse(mat) else np.ascontiguousarray(mat.T)
-    return mat, mat_t, values, grid
+        return mat[~mask], values[~mask], grid
+    return (a if isinstance(a, RayMatrix) else mat), values, grid
 
 
 def _product(mat):
@@ -199,30 +202,48 @@ def nnls(a, y, opts: SolveOptions = None, *, return_info: bool = False):
 
     ``a`` may be a RayMatrix or any (sparse) matrix; ``y`` a Measurement or a
     vector. Rows flagged erased are always dropped before solving. Every
-    iterate is clipped to [0, 1].
+    iterate is clipped to [0, 1]. A RayMatrix with no erased row keeps its
+    bound operators and step (:attr:`RayMatrix.fista_operator`), so only
+    the first such call runs :func:`power_norm`.
     """
     opts = opts or SolveOptions()
-    res = _fista(*_coerce_system(a, y), opts)
+    system, target, grid = _coerce_system(a, y)
+    operator = (system.fista_operator if isinstance(system, RayMatrix)
+                else _fista_operator(system))
+    res = _fista(operator, target, grid, opts)
     return (res.image, res) if return_info else res.image
 
 
-def _fista(mat, mat_t, target, grid, opts):
-    """FISTA with restart on min 0.5 ||mat x - target||^2 over [0, 1], from zero.
+def _fista_operator(mat):
+    """(A product, A^T product, step 1 / ||A||^2) of ``mat``, for :func:`_fista`.
 
-    An iteration applies ``mat_t`` once and ``mat`` once, to the new iterate;
-    A z for the momentum point z = x1 + beta (x1 - x0) is taken by linearity
-    from the kept products A x1 and A x0. A restart steps from the last
-    accepted iterate, whose product is kept too, so it costs one more product
-    of each operator. Both operators are bound once (:func:`_product`). The
-    residual and the momentum point live in buffers written in place, and
-    each iterate is the array the ``mat_t`` product returned, in the order of
-    operations of ``np.clip(z - step * (mat_t @ (A z - target)), 0, 1)``.
+    Both operators are bound once (:func:`_product`); ||A||^2 comes from
+    :func:`power_norm`. A RayMatrix keeps the one of all its rows
+    (:attr:`RayMatrix.fista_operator`). Raises :class:`SolverError` when
+    ``mat`` is zero.
     """
+    mat_t = mat.T if sparse.issparse(mat) else np.ascontiguousarray(mat.T)
     a, a_t = _product(mat), _product(mat_t)
-    lip = power_norm(lambda v: a_t(a(v)), grid.n_pixels)
+    lip = power_norm(lambda v: a_t(a(v)), mat.shape[1])
     if lip == 0.0:
         raise SolverError("operator is zero; no step size exists")
-    step = 1.0 / lip
+    return a, a_t, 1.0 / lip
+
+
+def _fista(operator, target, grid, opts):
+    """FISTA with restart on min 0.5 ||A x - target||^2 over [0, 1], from zero.
+
+    Runs on the bound products of A and A^T and the step of
+    :func:`_fista_operator`. An iteration applies A^T once and A once, to
+    the new iterate; A z for the momentum point z = x1 + beta (x1 - x0) is
+    taken by linearity from the kept products A x1 and A x0. A restart steps
+    from the last accepted iterate, whose product is kept too, so it costs
+    one more product of each operator. The residual and the momentum point
+    live in buffers written in place, and each iterate is the array the A^T
+    product returned, in the order of operations of
+    ``np.clip(z - step * (A^T @ (A z - target)), 0, 1)``.
+    """
+    a, a_t, step = operator
     lo, hi = _BOX
     r = np.empty(target.size)  # residual buffer
 
@@ -286,8 +307,9 @@ def _tv_operator(data_mat, side):
     """(K product, K^T product, step 0.99 / ||K||) of K = [data_mat; D] (:func:`_stacked_operator`).
 
     ||K|| comes from :func:`power_norm` on the bound products. Everything
-    here depends on ``data_mat`` alone, so a stack builds it once and keeps it
-    (:attr:`StackedBasis.tv_operator`).
+    here depends on ``data_mat`` alone, so a stack, and a RayMatrix for all
+    its rows, build it once and keep it (:attr:`StackedBasis.tv_operator`,
+    :attr:`RayMatrix.tv_operator`).
     """
     k, k_t = (_product(op) for op in _stacked_operator(data_mat, side))
     lip = math.sqrt(max(power_norm(lambda v: k_t(k(v)), side * side), 1e-30))
@@ -388,23 +410,28 @@ def tv_direct(a, y, opts: SolveOptions = None) -> SolveResult:
 
     Same Chambolle-Pock machinery as :func:`solve_reformulated`, on the
     stacked operator [A; D] of the kept rows of A (a dense A is converted to
-    CSR), built per call, warm started from the box-constrained
-    least-squares solution of :func:`nnls` run for max(200, max_iters)
-    iterations at the same tol. Rows flagged erased are always dropped, and
+    CSR), warm started from the box-constrained least-squares solution of
+    :func:`nnls` run for max(200, max_iters) iterations at the same tol.
+    A RayMatrix with no erased row keeps both solves' operators
+    (:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`), so
+    only its first such call builds K and runs :func:`power_norm`; any other
+    system builds them per call. Rows flagged erased are always dropped, and
     every iterate is clipped to [0, 1]. With tv_weight = 0 this reduces to
     :func:`nnls` up to tolerance. Raises :class:`SolverError` when every row
     is erased or the kept rows are zero.
     """
     opts = opts or SolveOptions()
-    mat, _, target, grid = _coerce_system(a, y)
+    system, target, grid = _coerce_system(a, y)
     if opts.tv_weight == 0.0:
         # The problem is plain box-constrained least squares.
-        img, info = nnls(mat, target, opts, return_info=True)
+        img, info = nnls(system, target, opts, return_info=True)
         return SolveResult(img, 2.0 * info.objective, info.converged,
                            info.iterations, 2.0 * info.objectives)
     warm_opts = SolveOptions(max_iters=max(200, opts.max_iters), tol=opts.tol)
-    start = nnls(mat, target, warm_opts).values
-    return _chambolle_pock(_tv_operator(mat, grid.side), target, grid, opts, start)
+    start = nnls(system, target, warm_opts).values
+    operator = (system.tv_operator if isinstance(system, RayMatrix)
+                else _tv_operator(system, grid.side))
+    return _chambolle_pock(operator, target, grid, opts, start)
 
 
 def minnorm_prefixes(basis, q, counts) -> dict:

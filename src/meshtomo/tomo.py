@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse, special
 
 from .core import FormatError, Grid, Image, Seed, read_table, write_table
 
@@ -29,6 +30,9 @@ __all__ = [
     "save_measurement",
     "sensor_pairs",
 ]
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,11 @@ def place_sensors(n: int) -> SensorArray:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need at least 2 sensors, got {n!r}")
+    # Imported here rather than at module top: the CLI imports this module,
+    # and its commands that trace no ray start without loading SciPy, which
+    # costs about 0.3 s of CPU (python -X importtime).
+    from scipy import special
+
     # degree-based trig is exact at quarter turns, so axis-aligned sensors
     # land on (1, .5), (.5, 1), (0, .5), (.5, 0) without rounding fuzz
     degrees = 360.0 * np.arange(int(n)) / int(n)
@@ -73,7 +82,12 @@ def sensor_pairs(n: int) -> list:
 
 @dataclass
 class RayMatrix:
-    """Sparse M x N matrix of normalized ray-pixel intersection lengths."""
+    """Sparse M x N matrix of normalized ray-pixel intersection lengths.
+
+    A solve on all M rows uses the solver operators kept here, built on
+    first use; a solve with erased rays builds its own on the kept rows.
+    ``matrix`` is not modified after construction.
+    """
 
     matrix: sparse.csr_matrix
     grid: Grid
@@ -82,6 +96,22 @@ class RayMatrix:
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def fista_operator(self) -> tuple:
+        """FISTA's bound products of A and A^T and its step 1 / ||A||^2
+        (``solve._fista_operator``), built on first use and kept."""
+        from .solve import _fista_operator  # solve imports this module
+
+        return _fista_operator(self.matrix)
+
+    @cached_property
+    def tv_operator(self) -> tuple:
+        """Chambolle-Pock's bound products of K = [A; D] and K^T and its step
+        0.99 / ||K|| (``solve._tv_operator``), built on first use and kept."""
+        from .solve import _tv_operator  # solve imports this module
+
+        return _tv_operator(self.matrix, self.grid.side)
 
 
 def _ray_row(p, q, side):
@@ -115,6 +145,8 @@ def _ray_row(p, q, side):
 
 def build_ray_matrix(sensors: SensorArray, grid: Grid) -> RayMatrix:
     """Assemble the ray matrix for all unordered sensor pairs."""
+    from scipy import sparse  # see place_sensors
+
     pos = sensors.positions
     pairs = sensor_pairs(sensors.n)
     if not pairs:

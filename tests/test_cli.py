@@ -1,18 +1,20 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from meshtomo import cli, kernel
 from meshtomo.cli import main
-from meshtomo.core import Grid, Image, load_image, save_image
+from meshtomo.core import Grid, Image, load_image, read_table, save_image
 from meshtomo.data import load_dataset, output_snr
 from meshtomo.estimate import estimate_coeffs, load_estimator
-from meshtomo.kernel import load_radial_profile
 from meshtomo.mesh import load_mesh, rasterize
 from meshtomo.solve import SolveOptions, nnls, tv_direct
 from meshtomo.tomo import build_ray_matrix, load_measurement, place_sensors
@@ -80,6 +82,54 @@ def test_pipeline_file_layout(pipe):
     assert q_names == ["manifest.json"] + [f"q_{i:05d}.csv" for i in range(6)]
     assert sorted(p.name for p in pipe["recon_sub"].iterdir()) == \
         ["manifest.json"] + [f"recon_{i:05d}.f32raw" for i in range(6)]
+
+
+def test_light_commands_start_and_run_without_scipy(pipe, tmp_path):
+    # In a fresh interpreter, the parser and the commands that trace no ray,
+    # triangulate nothing and solve nothing load no SciPy module, and write
+    # what the in-process pipeline wrote; nnls, run last, loads it.
+    out = tmp_path / "fresh"
+    light = [
+        ["gen-data", "--count", "6", "--grid-side", "12", "--kind", "shapes", "--seed", "42",
+         "--out", out / "data"],
+        ["corrupt", "--measurements", pipe["meas"], "--snr-db", "25", "--erasure-p", "0.1",
+         "--seed", "3", "--out", out / "noisy"],
+        ["estimate", "--backend", "oracle", "--meshes", pipe["meshes"], "--grid-side", "12",
+         "--data", pipe["data"], "--out", out / "q_oracle"],
+        ["estimate", "--backend", "learned", "--meshes", pipe["meshes"], "--grid-side", "12",
+         "--warm", pipe["warm"], "--estimators", pipe["est"], "--out", out / "q_learn"],
+        ["evaluate", "--data", pipe["data"], "--recon", f"sub={pipe['recon_sub']}",
+         "--recon", f"tv={pipe['recon_tv']}", "--out", out / "eval"],
+    ]
+    solving = ["nnls", "--measurements", pipe["noisy"], "--sensors", "10", "--grid-side", "12",
+               "--max-iters", "300", "--out", out / "warm"]
+    script = """
+import json, sys
+from meshtomo import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cli.build_parser()
+print(json.dumps(["build_parser", 0, scipy_modules()]))
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps([argv[0], cli.main(argv), scipy_modules()]))
+"""
+    commands = json.dumps([[str(a) for a in argv] for argv in light + [solving]])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, commands], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert [step[:2] for step in steps] == [["build_parser", 0]] + [
+        [argv[0], 0] for argv in light + [solving]]
+    assert all(step[2] == [] for step in steps[:-1]), steps
+    assert "scipy.sparse" in steps[-1][2]
+    for name in ("data", "noisy", "q_oracle", "q_learn", "eval", "warm"):
+        for path in sorted(pipe[name].iterdir()):
+            if path.name != "manifest.json":
+                assert (out / name / path.name).read_bytes() == path.read_bytes(), path
 
 
 def test_manifest_schema_and_hash(pipe):
@@ -187,8 +237,10 @@ def test_kernel_mc_outputs(pipe):
     assert mean.grid.side == 12
     assert np.argmax(mean.values) == 6 * 12 + 6  # peak at the test pixel
     assert (pipe["kmc"] / "mean.pgm").read_bytes().startswith(b"P5")
-    profile = load_radial_profile(pipe["kmc"] / "profile.csv")
-    assert profile[0].n == 1 and profile[0].radius == 0.0
+    profile = read_table(pipe["kmc"] / "profile.csv",
+                         {"radius": float, "mean": float, "std": float, "n": int})
+    assert profile[0] == (2, [0.0, profile[0][1][1], 0.0, 1])
+    assert all(r >= 0 and std >= 0 and n >= 1 for _, (r, _, std, n) in profile)
     man = json.loads((pipe["kmc"] / "manifest.json").read_text())
     assert man["peak"] == pytest.approx(mean.values.max())
     stderr = load_image(pipe["kmc"] / "stderr.f32raw")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meshtomo.core import FormatError, Grid, Image, Seed, load_image, pixel_centers, save_image
+from meshtomo.core import (FormatError, Grid, Image, Seed, load_image, pixel_centers, read_table,
+                           save_image)
 
 
 def test_grid_basics():
@@ -169,3 +170,20 @@ def test_format_errors_name_the_problem(tmp_path):
 def test_save_image_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="png"):
         save_image(Image.zeros(Grid(2)), tmp_path / "x", "png")
+
+
+def test_read_table_rejects_malformed(tmp_path):
+    columns = {"radius": float, "mean": float, "std": float, "n": int}
+    cases = [(b"r,m,s,n\n0,1,0,1\n", "header"),
+             (b"radius,mean,std,n\n0,1,0\n", ":2: expected 4 fields, got 3"),
+             (b"radius,mean,std,n\n0,one,0,1\n", ":2: could not convert"),
+             (b"radius,mean,std,n\n0,1,0,1\xff\n", "ASCII")]
+    for row in ("0,nan,0,1", "1,0.5,inf,-3", "inf,0.5,0,1", "0,-inf,0,1", "1,0.5,0.1,1.5"):
+        cases.append((f"radius,mean,std,n\n0,1,0,1\n{row}\n".encode(), ":3:"))
+    for blob, needle in cases:
+        p = tmp_path / "table.csv"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match=needle):
+            read_table(p, columns)
+    p.write_bytes(b"radius,mean,std,n\n\n0,1,0,1\n\n-1,0.5,0.25,2\n")
+    assert read_table(p, columns) == [(3, [0.0, 1.0, 0.0, 1]), (5, [-1.0, 0.5, 0.25, 2])]

@@ -630,7 +630,7 @@ def test_fista_two_products_per_iteration(monkeypatch):
     assert restarts >= 1
     counters = _count_products(monkeypatch)
     spent = _count_power_norm_products(monkeypatch, counters)
-    res = _fista(rm.matrix, rm.matrix.T, y.values, grid, opts)
+    res = _fista(solve._fista_operator(rm.matrix), y.values, grid, opts)
     assert_same_solve(res, ref)
     a, a_t = counters
     assert spent[0] > 0 and len(counters) == 2
@@ -667,6 +667,49 @@ def test_recombination_operator_built_once_per_stack(monkeypatch):
         assert np.array_equal(again.objectives, first.objectives)
     # no second K build, no second power iteration, no new bound operator
     assert len(builds) == 1 and spent[0] == after_first and len(counters) == 2
+
+
+def test_ray_matrix_solver_operators_built_once(monkeypatch):
+    grid = Grid(12)
+    rm = build_ray_matrix(place_sensors(10), grid)
+    y = forward(rm, gen_shapes(ShapesConfig(1, 12, seed=Seed(32)))[0])
+    erased = erase(y, 0.2, Seed(7))
+    assert erased.mask.any()
+    opts = SolveOptions(tv_weight=2e-4, max_iters=40)
+    # a plain matrix builds its operators per call: the reference
+    want_tv = tv_direct(rm.matrix, y.values, opts)
+    want_ls = nnls(rm.matrix, y.values, opts, return_info=True)[1]
+    builds = []
+    build = solve._stacked_operator
+
+    def counted_build(data_mat, side):
+        builds.append(data_mat.shape)
+        return build(data_mat, side)
+
+    monkeypatch.setattr(solve, "_stacked_operator", counted_build)
+    counters = _count_products(monkeypatch)
+    spent = _count_power_norm_products(monkeypatch, counters)
+
+    def solve_unmasked():
+        return (tv_direct(rm, y, opts), nnls(rm, y.values, opts, return_info=True)[1],
+                tv_direct(rm, y, SolveOptions(max_iters=40)))
+
+    runs = [solve_unmasked()]
+    first = spent[0]
+    runs += [solve_unmasked(), solve_unmasked()]
+    for got_tv, got_ls, got_w0 in runs:
+        for got, want in ((got_tv, want_tv), (got_ls, want_ls)):
+            assert np.array_equal(got.image.values, want.image.values)
+            assert np.array_equal(got.objectives, want.objectives)
+        assert np.array_equal(got_w0.image.values, got_ls.image.values)
+    # A, A^T, K and K^T bound once, one K build and both power iterations,
+    # all in the first call
+    assert builds == [(rm.m, grid.n_pixels)] and len(counters) == 4 and spent[0] == first > 0
+    assert "fista_operator" in vars(rm) and "tv_operator" in vars(rm)
+    # erased rays: each call binds, builds and runs the power iterations anew
+    for _ in range(2):
+        tv_direct(rm, erased, opts)
+    assert len(builds) == 3 and len(counters) == 12 and spent[0] > first
 
 
 def test_product_is_bitwise_matmul():
