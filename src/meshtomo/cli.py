@@ -33,9 +33,9 @@ from .core import (FormatError, Grid, Image, Seed, SolverError, load_image, pgm1
                    read_json, save_image, write_json)
 from .data import (ShapesConfig, gen_checkerboard, gen_shapes, load_dataset,
                    output_snr, save_dataset, shapes_manifest)
-from .estimate import (Estimator, TrainConfig, build_oblique, estimate_coeffs,
-                       load_estimator, oblique_coeffs, oracle_coeffs,
-                       save_estimator, train_ensemble, train_estimator)
+from .estimate import (TrainConfig, build_oblique, estimate_coeffs, load_estimator,
+                       oblique_coeffs, oracle_coeffs, save_estimator, train_ensemble,
+                       train_estimator)
 from .mesh import (StackedBasis, load_mesh, mesh_with_k_triangles, rasterize,
                    save_mesh)
 from .tomo import (Measurement, add_gaussian_noise, build_ray_matrix, erase,

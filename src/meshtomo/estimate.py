@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,16 +53,11 @@ class ObliqueOperator:
     F = B C is the reconstruction consistent on the subspace: F A b = b for
     every basis column b; generic images land obliquely in the subspace.
     ``basis_matrix`` is B as given (CSR for a SubspaceBasis); the dense N x M
-    F is formed only when ``operator`` is read.
+    F is never formed.
     """
 
     coeff_map: np.ndarray      # (K, M)
     basis_matrix: object       # (N, K), CSR or dense
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        """F = B C (N x M), built on first use and kept."""
-        return np.asarray(self.basis_matrix @ self.coeff_map)
 
 
 def build_oblique(a, basis) -> ObliqueOperator:
@@ -198,15 +192,6 @@ class Estimator:
         if (self.weight.shape, self.bias.shape) != want:
             raise ValueError(f"{self.kind} needs weight {want[0]} and bias {want[1]}, "
                              f"got {self.weight.shape} and {self.bias.shape}")
-
-    @staticmethod
-    def zero_affine(basis: SubspaceBasis) -> "Estimator":
-        return Estimator("per-mesh-affine", np.zeros((basis.k, basis.grid.n_pixels)),
-                         np.zeros(basis.k), basis.fingerprint)
-
-    @staticmethod
-    def zero_pooled() -> "Estimator":
-        return Estimator("shared-pooled", np.zeros(_N_POOLED_FEATURES), np.zeros(1))
 
 
 def pooled_features(basis: SubspaceBasis, warm_values: np.ndarray) -> np.ndarray:

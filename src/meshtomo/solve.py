@@ -11,8 +11,10 @@ compiled CSR kernel, and works on its vectors in place. A stack keeps its
 Chambolle-Pock operator and step (:attr:`StackedBasis.tv_operator`), and a
 RayMatrix keeps those of FISTA and direct TV on all its rows
 (:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`), each
-built on first use. Every result is bitwise what ``mat @ v`` and fresh
-temporaries give.
+built on first use, whatever the erasure mask: the loops hold erased rays at
+zero in the residual, at the step of all rows (admissible: ||A_kept|| <=
+||A||). Every result is bitwise what ``mat @ v`` and fresh temporaries give
+on the kept rows.
 """
 
 from __future__ import annotations
@@ -102,32 +104,31 @@ def power_norm(apply_normal, n: int) -> float:
 
 
 def _coerce_system(a, y):
-    """Normalize (operator, data) inputs to (system, values, grid), erased rows dropped.
+    """Normalize (operator, data) inputs to (RayMatrix, values, keep).
 
-    The system is ``a`` itself when ``a`` is a RayMatrix and no row is
-    erased, so that its kept solver operators serve the solve
-    (:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`); else
-    it is the matrix of the kept rows.
+    A plain matrix is wrapped in a RayMatrix of its own. ``keep`` is 0.0 at
+    the erased rays and 1.0 elsewhere, or None when no ray is erased. Raises
+    :class:`SolverError` when every ray is erased.
     """
     if isinstance(a, RayMatrix):
-        mat, grid = a.matrix, a.grid
+        rm = a
     else:
         mat = a if sparse.issparse(a) else np.asarray(a, dtype=np.float64)
         n = mat.shape[1]
         side = math.isqrt(n)
         if side * side != n:
             raise ValueError(f"cannot infer a square grid from {n} columns")
-        grid = Grid(side)
+        rm = RayMatrix(mat, Grid(side))
     if isinstance(y, Measurement):
         values, mask = y.values, y.mask
     else:
         values = np.asarray(y, dtype=np.float64).reshape(-1)
         mask = np.zeros(values.size, dtype=bool)
-    if values.size != mat.shape[0]:
-        raise ValueError(f"operator has {mat.shape[0]} rows but y has {values.size}")
-    if mask.any():
-        return mat[~mask], values[~mask], grid
-    return (a if isinstance(a, RayMatrix) else mat), values, grid
+    if values.size != rm.m:
+        raise ValueError(f"operator has {rm.m} rows but y has {values.size}")
+    if mask.all():
+        raise SolverError("operator is zero; no step size exists")
+    return rm, values, ((~mask).astype(np.float64) if mask.any() else None)
 
 
 def _product(mat):
@@ -201,16 +202,14 @@ def nnls(a, y, opts: SolveOptions = None, *, return_info: bool = False):
     """Box-constrained least squares min 0.5 ||A x - y||^2 via FISTA with restart.
 
     ``a`` may be a RayMatrix or any (sparse) matrix; ``y`` a Measurement or a
-    vector. Rows flagged erased are always dropped before solving. Every
-    iterate is clipped to [0, 1]. A RayMatrix with no erased row keeps its
-    bound operators and step (:attr:`RayMatrix.fista_operator`), so only
-    the first such call runs :func:`power_norm`.
+    vector. Rays flagged erased are masked (:func:`_fista`). Every iterate
+    is clipped to [0, 1]. A RayMatrix keeps its bound operators and step
+    (:attr:`RayMatrix.fista_operator`), so only its first call runs
+    :func:`power_norm`.
     """
     opts = opts or SolveOptions()
-    system, target, grid = _coerce_system(a, y)
-    operator = (system.fista_operator if isinstance(system, RayMatrix)
-                else _fista_operator(system))
-    res = _fista(operator, target, grid, opts)
+    rm, target, keep = _coerce_system(a, y)
+    res = _fista(rm.fista_operator, target, rm.grid, opts, keep)
     return (res.image, res) if return_info else res.image
 
 
@@ -218,7 +217,7 @@ def _fista_operator(mat):
     """(A product, A^T product, step 1 / ||A||^2) of ``mat``, for :func:`_fista`.
 
     Both operators are bound once (:func:`_product`); ||A||^2 comes from
-    :func:`power_norm`. A RayMatrix keeps the one of all its rows
+    :func:`power_norm`. A RayMatrix keeps its own
     (:attr:`RayMatrix.fista_operator`). Raises :class:`SolverError` when
     ``mat`` is zero.
     """
@@ -230,7 +229,7 @@ def _fista_operator(mat):
     return a, a_t, 1.0 / lip
 
 
-def _fista(operator, target, grid, opts):
+def _fista(operator, target, grid, opts, keep=None):
     """FISTA with restart on min 0.5 ||A x - target||^2 over [0, 1], from zero.
 
     Runs on the bound products of A and A^T and the step of
@@ -241,19 +240,25 @@ def _fista(operator, target, grid, opts):
     one more product of each operator. The residual and the momentum point
     live in buffers written in place, and each iterate is the array the A^T
     product returned, in the order of operations of
-    ``np.clip(z - step * (A^T @ (A z - target)), 0, 1)``.
+    ``np.clip(z - step * (A^T @ (A z - target)), 0, 1)``. Rays where
+    ``keep`` is 0 are held at zero in the residual and left out of the
+    objective's sum, so the result is bitwise that of A's kept rows.
     """
     a, a_t, step = operator
     lo, hi = _BOX
     r = np.empty(target.size)  # residual buffer
+    kept = None if keep is None else np.flatnonzero(keep)
 
     def objective(ax):
         np.subtract(ax, target, out=r)
-        return 0.5 * float(r @ r)
+        data = r if kept is None else r[kept]
+        return 0.5 * float(data @ data)
 
     def descend(point, a_point):
         """Projected gradient step from ``point``: (x, A x, objective)."""
         np.subtract(a_point, target, out=r)
+        if keep is not None:
+            np.multiply(r, keep, out=r)
         x_new = a_t(r)
         x_new *= step
         np.subtract(point, x_new, out=x_new)
@@ -307,8 +312,8 @@ def _tv_operator(data_mat, side):
     """(K product, K^T product, step 0.99 / ||K||) of K = [data_mat; D] (:func:`_stacked_operator`).
 
     ||K|| comes from :func:`power_norm` on the bound products. Everything
-    here depends on ``data_mat`` alone, so a stack, and a RayMatrix for all
-    its rows, build it once and keep it (:attr:`StackedBasis.tv_operator`,
+    here depends on ``data_mat`` alone, so a stack and a RayMatrix build it
+    once and keep it (:attr:`StackedBasis.tv_operator`,
     :attr:`RayMatrix.tv_operator`).
     """
     k, k_t = (_product(op) for op in _stacked_operator(data_mat, side))
@@ -316,7 +321,7 @@ def _tv_operator(data_mat, side):
     return k, k_t, 0.99 / lip
 
 
-def _chambolle_pock(operator, target, grid, opts, x0):
+def _chambolle_pock(operator, target, grid, opts, x0, keep=None):
     """Primal-dual solve of min_x ||data x - target||^2 + w * TV(x) over [0, 1].
 
     Runs on the bound products of K = [data; D] and K^T and the step of
@@ -328,8 +333,9 @@ def _chambolle_pock(operator, target, grid, opts, x0):
     by linearity. Steps: 0.99 / ||K||. The extrapolated residual and |D x|
     live in buffers written in place, and each iterate is the array the K^T
     product returned; the order of every operation is that of the
-    expressions with temporaries, so the result is bitwise the same. ``x0``
-    is not written.
+    expressions with temporaries, so the result is bitwise the same. Erased
+    rays are held at zero in the residual's data block, as in :func:`_fista`.
+    ``x0`` is not written.
     """
     k, k_t, sigma = operator
     tau = sigma
@@ -339,14 +345,23 @@ def _chambolle_pock(operator, target, grid, opts, x0):
     lo, hi = _BOX
     shrink = 1.0 + 0.5 * sigma
     tv = np.empty(2 * n_h)  # |D x|
+    kept = None if keep is None else np.flatnonzero(keep)
+
+    def residual(x):
+        """K x - [target; 0]: the residual, then D x."""
+        kr = k(x)
+        kr[:m] -= target
+        if keep is not None:
+            kr[:m] *= keep
+        return kr
 
     def objective(kr):
+        data = kr[:m] if kept is None else kr[kept]
         np.abs(kr[m:], out=tv)
-        return float(kr[:m] @ kr[:m]) + w * float(tv[:n_h].sum() + tv[n_h:].sum())
+        return float(data @ data) + w * float(tv[:n_h].sum() + tv[n_h:].sum())
 
     x = x0
-    kr = k(x)  # K x - [target; 0]: the residual, then D x
-    kr[:m] -= target
+    kr = residual(x)
     krbar = kr.copy()
     z = np.zeros(kr.size)
     z_data, z_tv = z[:m], z[m:]
@@ -361,8 +376,7 @@ def _chambolle_pock(operator, target, grid, opts, x0):
         x_new *= tau
         np.subtract(x, x_new, out=x_new)
         x_new.clip(lo, hi, out=x_new)
-        kr_new = k(x_new)
-        kr_new[:m] -= target
+        kr_new = residual(x_new)
         np.multiply(kr_new, 2.0, out=krbar)
         krbar -= kr
         x, kr = x_new, kr_new
@@ -409,29 +423,24 @@ def tv_direct(a, y, opts: SolveOptions = None) -> SolveResult:
     """TV-regularized direct inversion min ||A x - y||^2 + tv_weight * TV(x) over [0, 1].
 
     Same Chambolle-Pock machinery as :func:`solve_reformulated`, on the
-    stacked operator [A; D] of the kept rows of A (a dense A is converted to
-    CSR), warm started from the box-constrained least-squares solution of
-    :func:`nnls` run for max(200, max_iters) iterations at the same tol.
-    A RayMatrix with no erased row keeps both solves' operators
-    (:attr:`RayMatrix.fista_operator`, :attr:`RayMatrix.tv_operator`), so
-    only its first such call builds K and runs :func:`power_norm`; any other
-    system builds them per call. Rows flagged erased are always dropped, and
-    every iterate is clipped to [0, 1]. With tv_weight = 0 this reduces to
-    :func:`nnls` up to tolerance. Raises :class:`SolverError` when every row
-    is erased or the kept rows are zero.
+    stacked operator [A; D] (a dense A is converted to CSR), warm started
+    from :func:`nnls` run for max(200, max_iters) iterations at the same
+    tol. A RayMatrix keeps both solves' operators, so only its first call
+    builds K and runs :func:`power_norm`. Erased rays are masked as in
+    :func:`nnls`, and every iterate is clipped to [0, 1]. With tv_weight = 0
+    this reduces to :func:`nnls` up to tolerance. Raises
+    :class:`SolverError` when every ray is erased or A is zero.
     """
     opts = opts or SolveOptions()
-    system, target, grid = _coerce_system(a, y)
+    rm, target, keep = _coerce_system(a, y)
     if opts.tv_weight == 0.0:
         # The problem is plain box-constrained least squares.
-        img, info = nnls(system, target, opts, return_info=True)
-        return SolveResult(img, 2.0 * info.objective, info.converged,
+        info = _fista(rm.fista_operator, target, rm.grid, opts, keep)
+        return SolveResult(info.image, 2.0 * info.objective, info.converged,
                            info.iterations, 2.0 * info.objectives)
     warm_opts = SolveOptions(max_iters=max(200, opts.max_iters), tol=opts.tol)
-    start = nnls(system, target, warm_opts).values
-    operator = (system.tv_operator if isinstance(system, RayMatrix)
-                else _tv_operator(system, grid.side))
-    return _chambolle_pock(operator, target, grid, opts, start)
+    start = _fista(rm.fista_operator, target, rm.grid, warm_opts, keep).image.values
+    return _chambolle_pock(rm.tv_operator, target, rm.grid, opts, start, keep)
 
 
 def minnorm_prefixes(basis, q, counts) -> dict:

@@ -84,8 +84,8 @@ def sensor_pairs(n: int) -> list:
 class RayMatrix:
     """Sparse M x N matrix of normalized ray-pixel intersection lengths.
 
-    A solve on all M rows uses the solver operators kept here, built on
-    first use; a solve with erased rays builds its own on the kept rows.
+    Every solve uses the solver operators kept here, built on first use;
+    erased rays are masked in the solve, so the mask does not change them.
     ``matrix`` is not modified after construction.
     """
 

@@ -437,22 +437,24 @@ def test_criterion_6_oblique(ray_matrix, image_sets, ident_stack):
 
     worst_consistency = worst_idem = 0.0
     for basis, op in zip(bases, obliques):
+        f = op.basis_matrix @ op.coeff_map
         rng = Seed(606).rng()
         for _ in range(5):
             q = rng.uniform(-1.0, 1.0, basis.k)
             x = basis.synthesize(q)
-            fax = op.operator @ (rm.matrix @ x.values)
+            fax = f @ (rm.matrix @ x.values)
             dev = float(np.linalg.norm(fax - x.values)) / max(1.0, float(np.linalg.norm(x.values)))
             worst_consistency = max(worst_consistency, dev)
-        g = op.operator @ a_dense
+        g = f @ a_dense
         worst_idem = max(worst_idem, float(np.abs(g @ g - g).max()))
 
     per_image_obl = np.zeros(50)
     per_image_orth = np.zeros(50)
     for basis, op in zip(bases, obliques):
         b = basis.to_sparse()
+        f = op.basis_matrix @ op.coeff_map
         for idx, (x, y) in enumerate(zip(image_sets["test"], image_sets["test_y"])):
-            obl = op.operator @ y.values
+            obl = f @ y.values
             orth = b @ (b.T @ x.values)
             per_image_obl[idx] += float(np.mean((obl - x.values) ** 2))
             per_image_orth[idx] += float(np.mean((orth - x.values) ** 2))

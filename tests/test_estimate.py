@@ -12,7 +12,7 @@ from meshtomo.estimate import (Estimator, TrainConfig, _ridge_fit, build_oblique
                                train_ensemble, train_estimator)
 from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
 from meshtomo.solve import SolverError, minnorm_prefixes, nnls
-from meshtomo.tomo import Measurement, build_ray_matrix, forward, place_sensors
+from meshtomo.tomo import build_ray_matrix, forward, place_sensors
 
 
 def find_identifiable(rm, grid, k, seed0, tries=200):
@@ -58,7 +58,7 @@ def test_build_oblique_toy_exact():
     a = np.array([[1.0, 0.0]])
     b = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     op = build_oblique(a, b)
-    assert np.allclose(op.operator, [[1.0], [1.0]], atol=1e-12)
+    assert np.allclose(op.basis_matrix @ op.coeff_map, [[1.0], [1.0]], atol=1e-12)
     assert np.allclose(oblique_coeffs(op, [3.0]), [3.0 * np.sqrt(2.0)], atol=1e-12)
 
 
@@ -66,13 +66,14 @@ def test_build_oblique_subspace_consistency_and_idempotence():
     grid = Grid(16)
     rm = build_ray_matrix(place_sensors(25), grid)
     basis, op = find_identifiable(rm, grid, 8, 7000)
+    f = op.basis_matrix @ op.coeff_map
     rng = Seed(3).rng()
     for _ in range(5):
         coeff = rng.standard_normal(basis.k)
         x = basis.synthesize(coeff)
-        recon = op.operator @ (rm.matrix @ x.values)
+        recon = f @ (rm.matrix @ x.values)
         assert np.linalg.norm(recon - x.values) <= 1e-8 * max(1.0, np.linalg.norm(x.values))
-    p = op.operator @ rm.matrix.toarray()
+    p = f @ rm.matrix.toarray()
     assert np.allclose(p @ p, p, atol=1e-8)
 
 
@@ -81,11 +82,12 @@ def test_oblique_never_beats_orthogonal_projection():
     grid = Grid(16)
     rm = build_ray_matrix(place_sensors(25), grid)
     basis, op = find_identifiable(rm, grid, 10, 7300)
+    f = op.basis_matrix @ op.coeff_map
     rng = Seed(4).rng()
     for _ in range(10):
         x = Image(grid, rng.uniform(0, 1, grid.n_pixels))
         proj_err = np.linalg.norm(basis.project(x).values - x.values)
-        obl_err = np.linalg.norm(op.operator @ (rm.matrix @ x.values) - x.values)
+        obl_err = np.linalg.norm(f @ (rm.matrix @ x.values) - x.values)
         assert obl_err >= proj_err - 1e-10
 
 
@@ -162,8 +164,7 @@ def test_oblique_operator_and_coeffs_match_dense_formula():
         for y in ys:
             ref = b.T @ (f @ y.values)
             assert np.linalg.norm(oblique_coeffs(op, y) - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert "operator" not in vars(op)
-        assert np.array_equal(op.operator, f)
+        assert np.array_equal(op.basis_matrix @ op.coeff_map, f)
 
 
 def test_acceptance_oblique_operators_hold_under_10_mb():
@@ -221,8 +222,9 @@ def test_zero_estimators_predict_zero():
     grid = Grid(8)
     basis = rasterize(mesh_with_k_triangles(5, Seed(8)), grid)
     x = Image(grid, np.full(grid.n_pixels, 0.7))
-    za = Estimator.zero_affine(basis)
-    zp = Estimator.zero_pooled()
+    za = Estimator("per-mesh-affine", np.zeros((basis.k, grid.n_pixels)), np.zeros(basis.k),
+                   basis.fingerprint)
+    zp = Estimator("shared-pooled", np.zeros(5), np.zeros(1))
     assert np.array_equal(estimate_coeffs(za, basis, x), np.zeros(basis.k))
     assert np.array_equal(estimate_coeffs(zp, basis, x), np.zeros(basis.k))
 
@@ -234,7 +236,8 @@ def test_estimator_validation_and_binding():
     x = Image(grid, np.full(grid.n_pixels, 0.5))
     with pytest.raises(ValueError, match="kind"):
         Estimator("quadratic", np.zeros(5), np.zeros(1))
-    est = Estimator.zero_affine(basis_a)
+    est = Estimator("per-mesh-affine", np.zeros((basis_a.k, grid.n_pixels)),
+                    np.zeros(basis_a.k), basis_a.fingerprint)
     with pytest.raises(ValueError, match="bound"):
         estimate_coeffs(est, basis_b, x)
     # a second call on the same basis meets its kept hash, and still rejects
@@ -472,7 +475,7 @@ def test_estimator_save_load_round_trip(tmp_path):
     # parameters persist as little-endian float32
     assert np.array_equal(back.weight, est.weight.astype("<f4").astype(np.float64))
     assert np.array_equal(back.bias, est.bias.astype("<f4").astype(np.float64))
-    zp = Estimator.zero_pooled()
+    zp = Estimator("shared-pooled", np.zeros(5), np.zeros(1))
     save_estimator(zp, tmp_path / "zp.est")
     back2 = load_estimator(tmp_path / "zp.est")
     assert back2.kind == "shared-pooled"
@@ -495,7 +498,7 @@ def test_estimator_bytes_on_disk(tmp_path):
 
 def test_load_estimator_rejects_malformed(tmp_path):
     good = tmp_path / "good.est"
-    save_estimator(Estimator.zero_pooled(), good)
+    save_estimator(Estimator("shared-pooled", np.zeros(5), np.zeros(1)), good)
     data = good.read_bytes()
 
     trunc = tmp_path / "trunc.est"
@@ -515,8 +518,9 @@ def test_load_estimator_rejects_malformed(tmp_path):
 
     # well-framed files whose header or parameters do not make an estimator
     affine = tmp_path / "affine.est"
-    save_estimator(Estimator.zero_affine(rasterize(mesh_with_k_triangles(3, Seed(63)),
-                                                   Grid(4))), affine)
+    basis = rasterize(mesh_with_k_triangles(3, Seed(63)), Grid(4))
+    save_estimator(Estimator("per-mesh-affine", np.zeros((3, 16)), np.zeros(3),
+                             basis.fingerprint), affine)
     cases = [(good, {}, 0, "finite"), (affine, {}, 5, "finite"),
              (good, {"fingerprint": 123}, None, "fingerprint"),
              (affine, {"weight_shape": [3 * 16]}, None, "weight"),
@@ -557,7 +561,7 @@ def test_warm_start_pipeline_beats_zero_estimator():
 
 def test_load_estimator_rejects_non_object_header(tmp_path):
     good = tmp_path / "good.est"
-    save_estimator(Estimator.zero_pooled(), good)
+    save_estimator(Estimator("shared-pooled", np.zeros(5), np.zeros(1)), good)
     bad = tmp_path / "five.est"
     bad.write_bytes(b"5\n" + good.read_bytes().split(b"\n", 1)[1])
     with pytest.raises(FormatError, match="JSON object"):
@@ -566,7 +570,7 @@ def test_load_estimator_rejects_non_object_header(tmp_path):
 
 def test_load_estimator_rejects_non_integer_shapes(tmp_path):
     good = tmp_path / "good.est"
-    save_estimator(Estimator.zero_pooled(), good)
+    save_estimator(Estimator("shared-pooled", np.zeros(5), np.zeros(1)), good)
     header, payload = good.read_bytes().split(b"\n", 1)
     for i, shape in enumerate((["a"], [1.5], [True], [-1], 5)):
         bad = tmp_path / f"bad{i}.est"

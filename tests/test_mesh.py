@@ -7,9 +7,9 @@ from scipy import sparse
 from scipy.spatial import Delaunay as ScipyDelaunay
 
 from meshtomo.core import FormatError, Grid, Image, Seed
-from meshtomo.mesh import (StackedBasis, SubspaceBasis, TriMesh, delaunay_triangulate,
-                           delaunay_violations, gaussian_subspace_projector, load_mesh,
-                           mesh_with_k_triangles, rasterize, save_mesh)
+from meshtomo.mesh import (StackedBasis, TriMesh, delaunay_triangulate, delaunay_violations,
+                           gaussian_subspace_projector, load_mesh, mesh_with_k_triangles,
+                           rasterize, save_mesh)
 
 CORNERS = {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 

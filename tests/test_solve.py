@@ -11,7 +11,7 @@ from meshtomo.mesh import StackedBasis, mesh_with_k_triangles, rasterize
 from meshtomo.solve import (SolveOptions, SolveResult, SolverError, _chambolle_pock,
                             _fista, minnorm_prefixes, minnorm_solve, nnls, power_norm,
                             solve_reformulated, tv_direct)
-from meshtomo.tomo import Measurement, build_ray_matrix, erase, forward, place_sensors
+from meshtomo.tomo import RayMatrix, build_ray_matrix, erase, forward, place_sensors
 
 
 def tv_aniso(flat, side):
@@ -74,16 +74,31 @@ def test_nnls_info_and_convergence_flag():
 
 
 def test_nnls_respects_erasure_dropping():
+    # a masked solve is bitwise the solve on the kept rows at the step of all
+    # rows: images, iteration counts and objective traces, for FISTA and for
+    # Chambolle-Pock
     grid = Grid(8)
     rm = build_ray_matrix(place_sensors(8), grid)
     rng = Seed(12).rng()
     x = Image(grid, rng.uniform(0, 1, grid.n_pixels))
     y = erase(forward(rm, x), 0.4, Seed(13))
     keep = ~y.mask
+    kept, target = rm.matrix[keep], y.values[keep]
+    step = rm.fista_operator[2]
+    assert step < solve._fista_operator(kept)[2]  # ||A_kept|| < ||A||
+    fista_kept = (solve._product(kept), solve._product(kept.T), step)
     opts = SolveOptions(max_iters=800, tol=1e-11)
-    dropped = nnls(rm, y, opts)
-    reduced = nnls(rm.matrix[keep], y.values[keep], opts)
-    assert np.allclose(dropped.values, reduced.values, atol=1e-8)
+    pairs = [(nnls(rm, y, opts, return_info=True)[1], _fista(fista_kept, target, grid, opts))]
+    opts = SolveOptions(tv_weight=1e-3, max_iters=300)
+    start = _fista(fista_kept, target, grid, SolveOptions(max_iters=300, tol=opts.tol))
+    k, k_t = solve._stacked_operator(kept, grid.side)
+    tv_kept = (solve._product(k), solve._product(k_t), rm.tv_operator[2])
+    pairs.append((tv_direct(rm, y, opts),
+                  _chambolle_pock(tv_kept, target, grid, opts, start.image.values)))
+    for got, want in pairs:
+        assert got.iterations == want.iterations and got.converged == want.converged
+        assert np.array_equal(got.image.values, want.image.values)
+        assert np.array_equal(got.objectives, want.objectives)
 
 
 def test_tv_direct_zero_weight_is_nnls():
@@ -401,10 +416,15 @@ def test_nnls_accepts_measurement_and_matrix():
 # loops kept A x and the image gradient of each iterate. Every product and
 # stencil is taken afresh: three operator products per iteration.
 
-def reference_fista(mat, target, grid, opts):
-    """Returns (SolveResult, number of restarts)."""
+def reference_fista(mat, target, grid, opts, full=None):
+    """Returns (SolveResult, number of restarts).
+
+    The step comes from ``full`` (default ``mat``): the matrix of all rows
+    when ``mat`` holds the kept rows of a masked solve.
+    """
     mat_t = mat.T
-    step = 1.0 / power_norm(lambda v: mat_t @ (mat @ v), grid.n_pixels)
+    full = mat if full is None else full
+    step = 1.0 / power_norm(lambda v: full.T @ (full @ v), grid.n_pixels)
 
     def objective(v):
         r = mat @ v - target
@@ -453,13 +473,15 @@ def _ref_div(gh, gv, side):
     return out
 
 
-def reference_chambolle_pock(data_mat, data_t, target, grid, opts, x0):
+def reference_chambolle_pock(data_mat, data_t, target, grid, opts, x0, full=None):
+    """The step comes from [full; D] (default ``data_mat``), as in :func:`reference_fista`."""
     side = grid.side
     w = opts.tv_weight
+    full, full_t = (data_mat, data_t) if full is None else (full, full.T)
 
     def normal_op(v):
         v2 = v.reshape(side, side)
-        return (data_t @ (data_mat @ v)
+        return (full_t @ (full @ v)
                 + _ref_div(np.diff(v2, axis=1), np.diff(v2, axis=0), side).ravel())
 
     sigma = tau = 0.99 / math.sqrt(max(power_norm(normal_op, grid.n_pixels), 1e-30))
@@ -541,11 +563,13 @@ def test_tv_direct_and_nnls_match_reference_loops():
         keep = ~meas.mask
         mat, target = rm.matrix[keep], meas.values[keep]
         opts = SolveOptions(tv_weight=2e-4, max_iters=600)
-        warm, _ = reference_fista(mat, target, grid, SolveOptions(max_iters=600, tol=opts.tol))
-        ref = reference_chambolle_pock(mat, mat.T, target, grid, opts, warm.image.values)
+        warm, _ = reference_fista(mat, target, grid, SolveOptions(max_iters=600, tol=opts.tol),
+                                  rm.matrix)
+        ref = reference_chambolle_pock(mat, mat.T, target, grid, opts, warm.image.values,
+                                       rm.matrix)
         assert_same_solve(tv_direct(rm, meas, opts), ref)
         opts = SolveOptions(max_iters=300)
-        ref, count = reference_fista(mat, target, grid, opts)
+        ref, count = reference_fista(mat, target, grid, opts, rm.matrix)
         assert_same_solve(nnls(rm, meas, opts, return_info=True)[1], ref)
         restarts += count
     assert restarts >= 1
@@ -706,10 +730,20 @@ def test_ray_matrix_solver_operators_built_once(monkeypatch):
     # all in the first call
     assert builds == [(rm.m, grid.n_pixels)] and len(counters) == 4 and spent[0] == first > 0
     assert "fista_operator" in vars(rm) and "tv_operator" in vars(rm)
-    # erased rays: each call binds, builds and runs the power iterations anew
+    # erased rays are masked on the same operators: no build, no bound
+    # operator, no power iteration
     for _ in range(2):
         tv_direct(rm, erased, opts)
-    assert len(builds) == 3 and len(counters) == 12 and spent[0] > first
+        nnls(rm, erased, opts)
+    assert len(builds) == 1 and len(counters) == 4 and spent[0] == first
+    # a RayMatrix whose first solve is masked builds once too
+    fresh = RayMatrix(rm.matrix, grid)
+    tv_direct(fresh, erased, opts)
+    assert len(builds) == 2 and len(counters) == 8 and spent[0] > first
+    first = spent[0]
+    tv_direct(fresh, erased, opts)
+    nnls(fresh, erased, opts)
+    assert len(builds) == 2 and len(counters) == 8 and spent[0] == first
 
 
 def test_product_is_bitwise_matmul():
